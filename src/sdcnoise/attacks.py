@@ -17,19 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .noise import (
-    CellKey,
-    Laplace,
-    NoiseSpec,
-    PTable,
-    RecordKey,
-    TwoTailedGeometric,
-    cell_key_noise,
-    laplace_variance,
-    sample_noise,
-)
+from .noise import CellKey, NoiseSpec, PTable, sample_noise
 from .redundancy import enumerate_irrs, count_k_t, optimize_kt2
-from .tables import Microdata, StatisticKey, TableProgramme, cell_records, enumerate_subtables, tabulate
+from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
+from .tables import cube_index, encode, marginal
 
 
 @dataclass(frozen=True)
@@ -117,19 +108,18 @@ def tuples_needed(p1: float, alpha: float) -> float:
 
     Returns the smallest integer m with 1 - (1 - p1)**m >= alpha.  Because m
     is rounded up, the coverage at m is at least alpha and may lie above it.
-    Returns ``math.inf`` when p1 == 0 (no stream length suffices) and 1 when
-    p1 == 1.
+    Returns ``math.inf`` when p1 == 0 or so small (subnormal) that the count
+    of tuples overflows, and 1 when p1 == 1.
     """
     if not 0.0 <= p1 <= 1.0:
         raise DomainError(f"p1 must lie in [0,1], got {p1}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    if p1 == 0.0:
-        return math.inf
     if p1 == 1.0:
         return 1
     # log1p keeps tiny p1 from flushing the denominator to zero
-    return int(math.ceil(math.log(1.0 - alpha) / math.log1p(-p1)))
+    tuples = math.log(1.0 - alpha) / math.log1p(-p1) if p1 > 0.0 else math.inf
+    return math.ceil(tuples) if math.isfinite(tuples) else math.inf
 
 
 def running_bound_estimates(stream: Sequence[TripleObservation]) -> list[int]:
@@ -303,24 +293,16 @@ class NoisyOutput:
 
     ``tables`` maps (table id, statistic ids) to noisy cell values; with SPSN
     the table id slot is None because identical statistics share their noise.
-    ``exact`` keeps the pre-noise tabulations per unique statistic for harness
-    bookkeeping only.
+    :func:`irr_value` reads them from ``cubes``, arrays over the sorted ids
+    whose axes ``categories`` index.  ``exact`` keeps the pre-noise
+    tabulations per unique statistic for harness bookkeeping only.
     """
 
     spsn: bool
     tables: Mapping[OutputKey, Mapping[tuple, float]]
     exact: Mapping[frozenset, Mapping[tuple, int]]
-
-
-def _noise_variance(spec: NoiseSpec) -> float | None:
-    if isinstance(spec, CellKey):
-        return spec.variance
-    if isinstance(spec, Laplace):
-        return laplace_variance(spec.epsilon, spec.delta_sens)
-    if isinstance(spec, TwoTailedGeometric):
-        q = math.exp(-spec.epsilon)
-        return 2.0 * q / (1.0 - q) ** 2
-    return None
+    cubes: Mapping[OutputKey, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
+    categories: Mapping[str, Mapping[str, int]] = field(default_factory=dict, compare=False, repr=False)
 
 
 def perturb_outputs(
@@ -335,67 +317,59 @@ def perturb_outputs(
     ``spec=None`` releases exact counts.  With SPSN and a CellKey spec the
     noise is the genuine lookup mechanism driven by per-record keys; with SPSN
     and other specs one draw is reused per unique (statistic, cell).  Without
-    SPSN every (table, statistic, cell) gets an independent draw.
-    """
-    keys = []  # (table_id, stat frozenset), deterministic order
-    unique_stats = {}
-    for table in programme.tables:
-        for sub in enumerate_subtables(table):
-            keys.append((table.id, sub.breakdown_ids))
-            unique_stats.setdefault(sub.breakdown_ids, sub)
-    exact = {
-        ids: tabulate(programme, data, key) for ids, key in unique_stats.items()
-    }
-    if spec is None:
-        if spsn:
-            tables = {(None, ids): dict(counts) for ids, counts in exact.items()}
-        else:
-            tables = {(tid, ids): dict(exact[ids]) for tid, ids in keys}
-        return NoisyOutput(spsn=spsn, tables=tables, exact=exact)
+    SPSN every (table, statistic, cell) gets an independent draw, and the
+    draws go to the cells in ``sorted(cells)`` order.
 
-    rng = np.random.default_rng(seed)
-    tables: dict[OutputKey, dict[tuple, float]] = {}
-    if spsn and isinstance(spec, CellKey):
-        ptable = spec.ptable()
-        record_keys = [
-            RecordKey(int(f))
-            for f in rng.integers(0, 2**64, size=data.n, dtype=np.uint64)
-        ]
-        for ids, key in unique_stats.items():
-            members = cell_records(programme, data, key)
-            tables[(None, ids)] = {
-                cell: exact[ids][cell]
-                + cell_key_noise([record_keys[i] for i in indices], ptable)
-                for cell, indices in members.items()
-            }
-    elif spsn:
-        for ids in unique_stats:
-            counts = exact[ids]
-            noise = sample_noise(spec, rng.integers(0, 2**63), len(counts))
-            tables[(None, ids)] = {
-                cell: counts[cell] + noise[i] for i, cell in enumerate(sorted(counts))
-            }
-    else:
-        for tid, ids in keys:
-            counts = exact[ids]
-            noise = sample_noise(spec, rng.integers(0, 2**63), len(counts))
-            tables[(tid, ids)] = {
-                cell: counts[cell] + noise[i] for i, cell in enumerate(sorted(counts))
-            }
-    return NoisyOutput(spsn=spsn, tables=tables, exact=exact)
+    Each table's finest cube is counted once and every statistic is a
+    marginal of the first table holding it.  Record keys are summed the same
+    way in uint64 cubes, which wrap mod 2**64 like :class:`RecordKey` sums.
+    """
+    rng = np.random.default_rng(seed) if spec is not None else None  # exact releases ignore the seed
+    cell_key = spsn and isinstance(spec, CellKey)
+    record_keys = rng.integers(0, 2**64, size=data.n, dtype=np.uint64) if cell_key else None
+    codes = encode(programme, data, sorted({bid for table in programme.tables for bid in table.breakdowns}))
+    exact_cubes, key_cubes, released = {}, {}, []
+    for table in programme.tables:
+        ids = tuple(sorted(table.breakdowns))
+        flat, shape = cube_index(programme, codes, ids)
+        counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+        if cell_key:
+            keys = np.zeros(shape, dtype=np.uint64)
+            np.add.at(keys.reshape(-1), flat, record_keys)  # a view: keys is contiguous
+        for stat in (sub.breakdown_ids for sub in enumerate_subtables(table)):
+            released.append((table.id, stat))
+            if stat not in exact_cubes:
+                exact_cubes[stat] = marginal(counts, ids, stat)
+                key_cubes[stat] = marginal(keys, ids, stat) if cell_key else None
+    cells = {ids: programme.cells(StatisticKey(ids)) for ids in exact_cubes}
+    exact = {ids: dict(zip(cells[ids], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
+    ptable = spec.ptable() if cell_key else None
+    tables, cubes, draw_orders = {}, {}, {}
+    for key in [(None, ids) for ids in exact_cubes] if spsn else released:
+        ids, cube = key[1], exact_cubes[key[1]]
+        if spec is None:
+            tables[key], cubes[key] = dict(exact[ids]), cube
+        elif cell_key:
+            cubes[key] = cube + ptable.quantile(key_cubes[ids] / 2.0**64)
+            tables[key] = dict(zip(cells[ids], cubes[key].ravel().tolist()))
+        else:
+            if ids not in draw_orders:
+                order = sorted(range(cube.size), key=cells[ids].__getitem__)
+                draw_orders[ids] = order, np.argsort(order), [cells[ids][i] for i in order]
+            order, inverse, sorted_cells = draw_orders[ids]
+            values = cube.ravel()[order] + sample_noise(spec, rng.integers(0, 2**63), cube.size)
+            tables[key] = dict(zip(sorted_cells, values.tolist()))
+            cubes[key] = values[inverse].reshape(cube.shape)
+    categories = {bid: {c: i for i, c in enumerate(programme.breakdown(bid).categories)} for bid in codes}
+    return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes, categories=categories)
 
 
 def irr_value(output: NoisyOutput, irr, target: StatisticKey) -> float:
     """Evaluate one redundant representation of the target cell on the output."""
     stat_ids = target.breakdown_ids | irr.summed_out
-    table = output.tables[(irr.table_id, stat_ids)]
-    sorted_stat = tuple(sorted(stat_ids))
-    positions = [sorted_stat.index(b) for b in target.sorted_ids]
-    total = 0.0
-    for cell, value in table.items():
-        if all(cell[pos] == want for pos, want in zip(positions, target.cell)):
-            total += value
-    return total
+    cell = {bid: output.categories[bid][value] for bid, value in zip(target.sorted_ids, target.cell)}
+    index = tuple(cell.get(bid, slice(None)) for bid in sorted(stat_ids))
+    return float(output.cubes[(irr.table_id, stat_ids)][index].sum())
 
 
 def run_averaging_attack(

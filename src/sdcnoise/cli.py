@@ -170,6 +170,8 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     p1 = float(attacks.p1_exact(ptable.probabilities, bound))
     m = attacks.tuples_needed(p1, alpha)
     if streams > 0:
+        if m == float("inf"):
+            raise DomainError(f"p1 = {p1!r}: no stream length discloses the bound, nothing to simulate")
         seed = _resolve_seed(seed)
         report = attacks.bound_disclosure_mc(ptable, int(m), streams, seed)
     else:

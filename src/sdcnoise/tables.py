@@ -4,6 +4,8 @@ A programme is a catalog of variable breakdowns plus a list of
 cross-tabulations published over them.  Totals are never stored as
 categories: the total margin of any variable arises only by summing the
 variable out completely, i.e. by dropping it from the statistic key.
+Tabulation counts integer category codes into a row-major numpy cube with
+one axis per sorted breakdown id; a marginal sums the dropped axes.
 
 Everything here is immutable after construction; tabulation is a pure
 function and safe to use from concurrent tasks.
@@ -14,8 +16,11 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-from collections.abc import Iterable, Mapping
+import math
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ProgrammeError
 
@@ -163,8 +168,12 @@ def parse_programme(document: str | Mapping) -> TableProgramme:
 
 
 def load_programme(path) -> TableProgramme:
-    with open(path, encoding="utf-8") as fh:
-        return parse_programme(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProgrammeError(f"cannot read programme file: {exc}") from exc
+    return parse_programme(text)
 
 
 def enumerate_subtables(table: TableSpec) -> list[StatisticKey]:
@@ -225,38 +234,52 @@ def read_microdata(path, programme: TableProgramme | None = None) -> Microdata:
     return data
 
 
+def encode(programme: TableProgramme, data: Microdata, ids: Iterable[str]) -> dict[str, np.ndarray]:
+    """Position of every value of the columns ``ids`` among its breakdown's categories."""
+    columns = list(zip(*data.records)) or [()] * len(data.columns)
+    codes = {}
+    for bid in ids:
+        column = columns[data.column_index(bid)]
+        index = {c: i for i, c in enumerate(programme.breakdown(bid).categories)}
+        try:
+            codes[bid] = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+        except KeyError as exc:
+            raise ProgrammeError(f"value {exc.args[0]!r} is not a category of breakdown {bid!r}") from None
+    return codes
+
+
+def cube_index(
+    programme: TableProgramme, codes: Mapping[str, np.ndarray], ids: Sequence[str]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Row-major cell of every record in the cube over the non-empty ``ids``, and its shape."""
+    shape = tuple(programme.breakdown(bid).cardinality for bid in ids)
+    return np.ravel_multi_index([codes[bid] for bid in ids], shape), shape
+
+
+def marginal(cube: np.ndarray, ids: Sequence[str], keep: frozenset[str]) -> np.ndarray:
+    """Sum the cube over ``ids`` down to the axes in ``keep``, kept in order; uint64 wraps."""
+    axes = tuple(i for i, bid in enumerate(ids) if bid not in keep)
+    return np.asarray(cube.sum(axis=axes, dtype=cube.dtype))
+
+
 def tabulate(
     programme: TableProgramme, data: Microdata, key: StatisticKey
 ) -> dict[Cell, int]:
     """Exact tabulation of the microdata by a statistic key.
 
-    Every cell of the statistic appears in the result, zeros included.  The
-    empty key returns ``{(): n}``.  A cell-restricted key returns only that
-    cell's count.
+    Every cell of the statistic appears in the result, zeros included, in
+    :meth:`TableProgramme.cells` order.  The empty key returns ``{(): n}``.
+    A cell-restricted key returns only that cell's count.
     """
     programme.validate_key(key)
     ids = key.sorted_ids
-    indices = [data.column_index(bid) for bid in ids]
-    counts: dict[Cell, int] = {cell: 0 for cell in programme.cells(key)}
-    for record in data.records:
-        cell = tuple(record[i] for i in indices)
-        counts[cell] += 1
+    if not ids:
+        return {(): data.n}
+    flat, shape = cube_index(programme, encode(programme, data, ids), ids)
+    table = dict(zip(programme.cells(key), np.bincount(flat, minlength=math.prod(shape)).tolist()))
     if key.cell is not None:
-        return {key.cell: counts[key.cell]}
-    return counts
-
-
-def cell_records(
-    programme: TableProgramme, data: Microdata, key: StatisticKey
-) -> dict[Cell, tuple[int, ...]]:
-    """Record indices contributing to each cell of a statistic (zeros included)."""
-    programme.validate_key(key)
-    ids = key.sorted_ids
-    indices = [data.column_index(bid) for bid in ids]
-    members: dict[Cell, list[int]] = {cell: [] for cell in programme.cells(key)}
-    for ri, record in enumerate(data.records):
-        members[tuple(record[i] for i in indices)].append(ri)
-    return {cell: tuple(v) for cell, v in members.items()}
+        return {key.cell: table[key.cell]}
+    return table
 
 
 def neighbor(data: Microdata, op: str, record: tuple[str, ...]) -> Microdata:

@@ -20,7 +20,6 @@ import numpy as np
 from .attacks import averaging_success, p1_exact, tuples_needed
 from .errors import DomainError, InfeasibleError
 from .noise import NoiseSpec, gen_ptable, sample_noise, uniform_max_variance
-from .accounting import eps_alpha_n  # noqa: F401  (re-exported scan context)
 
 
 @dataclass(frozen=True)
@@ -263,8 +262,9 @@ def scan_ve(
                 grid.cells.append(cell)
                 continue
             p1 = float(p1_exact(ptable.probabilities, e))
-            m_required = tuples_needed(p1, alpha) if p1 > 0 else math.inf
-            reveal = 1.0 - (1.0 - p1) ** m_avail if p1 > 0 else 0.0
+            m_required = tuples_needed(p1, alpha)
+            # expm1/log1p keep tiny p1 from rounding the reveal probability to 0
+            reveal = -math.expm1(m_avail * math.log1p(-p1)) if 0.0 < p1 < 1.0 else p1
             cell.update(
                 p1=p1,
                 m_required=None if m_required == math.inf else int(m_required),

@@ -194,3 +194,31 @@ def test_config_file_supplies_defaults(tmp_path):
     # explicit flags win over the config file
     overridden = run_cli("--config", str(cfg), "ptable", "--e", "5")
     assert len(_rows(overridden.stdout)) == 11
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "/nonexistent.json"),
+        ("attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "40",
+         "--streams", "10", "--seed", "1"),
+    ],
+    ids=["missing-programme", "bound-disclosure-p1-zero"],
+)
+def test_domain_probes_exit_2_without_traceback(args):
+    proc = run_cli(*args, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_scan_ve_subnormal_p1_has_no_tuple_count():
+    proc = run_cli("scan", "ve", "--v-min", "2", "--v-max", "2", "--e-min", "32",
+                   "--e-max", "32", "--m-avail", "2.8e7", check=False)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    (row,) = _rows(proc.stdout)
+    assert 0.0 < float(row["p1"]) < 1e-300
+    assert row["m_required"] == ""
+    assert row["e_disclosure_safe"] == "1"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sdcnoise import utility
 from sdcnoise.errors import DomainError
 from sdcnoise.noise import CellKey, Laplace, sample_noise
 from sdcnoise.utility import (
@@ -157,6 +158,15 @@ def test_scan_ve_safety_flags():
     assert cell["e_disclosure_safe"] is False
     safe = scan_ve([2.0], [5], m_avail=7e5).cells[0]
     assert safe["e_disclosure_safe"] is True
+
+
+def test_scan_ve_reveal_prob_does_not_underflow(monkeypatch):
+    # 1 - (1 - 1e-18)**m rounds to 0; the true probability is about m * p1
+    monkeypatch.setattr(utility, "p1_exact", lambda pmf, bound: 1e-18)
+    cell = scan_ve([2.0], [5], m_avail=2.8e7).cells[0]
+    assert cell["p1"] == 1e-18
+    assert cell["reveal_prob"] == pytest.approx(2.8e-11, rel=1e-9)
+    assert cell["m_required"] == math.ceil(math.log(1.0 - 0.68) / math.log1p(-1e-18))
 
 
 def test_scan_ve_marks_infeasible():
