@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .noise import CellKey, NoiseSpec, PTable, sample_noise
-from .redundancy import enumerate_irrs, count_k_t, optimize_kt2
+from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
 from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import cube_index, encode, marginal
 
@@ -261,17 +261,12 @@ def averaging_mc(
     """Sampled success rate of averaging t noise sums totalling k draws."""
     if k < t or t < 1 or trials < 1:
         raise DomainError("need k >= t >= 1 and positive trials")
-    sizes = [k // t + (1 if i < k % t else 0) for i in range(t)]
     rng = np.random.default_rng(seed)
-    successes = 0
-    for _ in range(trials):
-        draws = ptable.quantile(rng.random(k))
-        sums, pos = [], 0
-        for size in sizes:
-            sums.append(draws[pos : pos + size].sum())
-            pos += size
-        if abs(np.mean(sums)) < xi:
-            successes += 1
+    successes, chunk = 0, max(1, 2**16 // k)  # trials per draw matrix, about 2**16 draws
+    for done in range(0, trials, chunk):
+        draws = ptable.quantile(rng.random((min(chunk, trials - done), k)))
+        # the mean of the t sums is the total over t, however the k draws split
+        successes += int(np.count_nonzero(np.abs(draws.sum(axis=1) / t) < xi))
     return AttackReport(
         attack="Averaging",
         probability=averaging_success(ptable.variance(), k, t, "Gaussian", xi),
@@ -293,9 +288,9 @@ class NoisyOutput:
 
     ``tables`` maps (table id, statistic ids) to noisy cell values; with SPSN
     the table id slot is None because identical statistics share their noise.
-    :func:`irr_value` reads them from ``cubes``, arrays over the sorted ids
-    whose axes ``categories`` index.  ``exact`` keeps the pre-noise
-    tabulations per unique statistic for harness bookkeeping only.
+    :func:`averaging_estimates` reads them from ``cubes``, arrays over the
+    sorted ids whose axes ``categories`` index, and memoises into ``estimates``.
+    ``exact`` keeps the pre-noise tabulations per unique statistic for harness bookkeeping only.
     """
 
     spsn: bool
@@ -303,6 +298,7 @@ class NoisyOutput:
     exact: Mapping[frozenset, Mapping[tuple, int]]
     cubes: Mapping[OutputKey, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
     categories: Mapping[str, Mapping[str, int]] = field(default_factory=dict, compare=False, repr=False)
+    estimates: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def perturb_outputs(
@@ -364,12 +360,29 @@ def perturb_outputs(
     return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes, categories=categories)
 
 
-def irr_value(output: NoisyOutput, irr, target: StatisticKey) -> float:
-    """Evaluate one redundant representation of the target cell on the output."""
-    stat_ids = target.breakdown_ids | irr.summed_out
-    cell = {bid: output.categories[bid][value] for bid, value in zip(target.sorted_ids, target.cell)}
-    index = tuple(cell.get(bid, slice(None)) for bid in sorted(stat_ids))
-    return float(output.cubes[(irr.table_id, stat_ids)][index].sum())
+def averaging_estimates(
+    programme: TableProgramme, output: NoisyOutput, ids: frozenset[str], optimize: bool = False
+) -> tuple[np.ndarray, IRRStats]:
+    """Averaging-attack estimates of every cell of the statistic ``ids``, with their IRRs.
+
+    Each chosen IRR's noisy cube is summed over its ``summed_out`` axes and
+    the sums are averaged into one cube over ``sorted(ids)``.  The result is
+    memoised on ``output.estimates`` by ``(ids, optimize)``: an output
+    answers for the programme it was released from.
+    """
+    if (ids, optimize) not in output.estimates:
+        statistic = StatisticKey(ids)
+        irrs = enumerate_irrs(programme, statistic, spsn=output.spsn)
+        stats = optimize_kt2(irrs, statistic) if optimize else count_k_t(irrs, statistic)
+        sums = []
+        for irr in stats.irrs:
+            source = sorted(ids | irr.summed_out)
+            axes = sorted(range(len(source)), key=lambda i: source[i] not in ids)
+            # summed-out axes last and contiguous: each cell sums as its own slice would
+            cube = np.ascontiguousarray(output.cubes[(irr.table_id, ids | irr.summed_out)].transpose(axes))
+            sums.append(cube.reshape(cube.shape[: len(ids)] + (-1,)).sum(axis=-1))
+        output.estimates[(ids, optimize)] = np.stack(sums, axis=-1).mean(axis=-1), stats
+    return output.estimates[(ids, optimize)]
 
 
 def run_averaging_attack(
@@ -381,12 +394,13 @@ def run_averaging_attack(
     """Average all redundant representations of one target cell and round."""
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")
-    irrs = enumerate_irrs(
-        programme, StatisticKey(target.breakdown_ids), spsn=output.spsn
-    )
-    stats = optimize_kt2(irrs, target) if optimize else count_k_t(irrs, target)
-    values = [irr_value(output, irr, target) for irr in stats.irrs]
-    estimate = float(np.mean(values))
+    estimates, stats = averaging_estimates(programme, output, target.breakdown_ids, optimize)
+    try:
+        index = tuple(output.categories[bid][value] for bid, value in zip(target.sorted_ids, target.cell))
+    except KeyError:
+        programme.validate_key(target)  # names the value that is not a category
+        raise
+    estimate = float(estimates[index])
     recovered = int(round(estimate))
     truth = output.exact[target.breakdown_ids][target.cell]
     return AttackReport(

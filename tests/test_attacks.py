@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from sdcnoise.attacks import (
     simulate_triples,
     tuples_needed,
 )
-from sdcnoise.errors import DomainError
+from sdcnoise.errors import DomainError, ProgrammeError
 from sdcnoise.noise import CellKey, Laplace, gen_ptable, uniform_max_variance
+from sdcnoise.redundancy import statistic_universe
 from sdcnoise.tables import (
     Breakdown,
     Microdata,
@@ -163,6 +166,17 @@ def test_averaging_mc_calibration():
     assert report.mc_successes / report.mc_trials == pytest.approx(expect, abs=3 * sigma)
 
 
+# success counts of averaging_mc(gen_ptable(2, 10), k, t, 200, seed=5), recorded
+# with the loop that drew and summed one trial at a time
+AVERAGING_MC_COUNTS = {(1000, 100): 152, (10_000, 100): 53, (1000, 7): 12, (999, 100): 147}
+
+
+@pytest.mark.parametrize("k,t", sorted(AVERAGING_MC_COUNTS))
+def test_averaging_mc_seeded_counts_are_pinned(k, t):
+    report = averaging_mc(gen_ptable(2.0, 10), k, t, 200, 5)
+    assert (report.mc_trials, report.mc_successes) == (200, AVERAGING_MC_COUNTS[(k, t)])
+
+
 def test_attack_report_validation():
     with pytest.raises(DomainError):
         AttackReport(attack="X", probability=1.5)
@@ -233,6 +247,39 @@ def test_averaging_attack_requires_cell():
     output = perturb_outputs(SEX_AGE, _random_data(random.Random(1), SEX_AGE, 10), None, 0)
     with pytest.raises(DomainError, match="target cell"):
         run_averaging_attack(SEX_AGE, output, StatisticKey(frozenset({"SEX"})))
+
+
+def test_averaging_attack_unknown_category_is_a_programme_error():
+    output = perturb_outputs(SEX_AGE, _random_data(random.Random(1), SEX_AGE, 10), None, 0)
+    with pytest.raises(ProgrammeError, match="'X' is not a category of breakdown 'SEX'"):
+        run_averaging_attack(SEX_AGE, output, StatisticKey(frozenset({"SEX"}), ("X",)))
+
+
+DESK = parse_programme(resources.files("sdcnoise.data").joinpath("desk_programme.json").read_text())
+
+# SHA-256 over (t, k, estimate, recovered, true) of the averaging attack on
+# every desk cell, recorded with the attack that enumerated IRRs per cell
+ATTACK_DIGESTS = {
+    ("cellkey", False): "91931f95e27354f8bfba2d64e962bb0af11c43868f3abd7b47de3cc230d659fd",
+    ("cellkey", True): "09b56216fe004ebd9e2e9b045da0337d26678ad2b5e407d05be7f0db4c2fb88e",
+    ("laplace", False): "2333342bac2fa0b7d3341a8416837347cb0760f9310eb4704c9919e241c7df44",
+    ("laplace", True): "d08c98b04c70c981105df3108e94a893fac5e297441ffc2fb08dd66145fb08a9",
+}
+
+
+@pytest.mark.parametrize("name,optimize", sorted(ATTACK_DIGESTS))
+def test_seeded_averaging_attack_matches_recorded_digest(name, optimize):
+    rng = random.Random(20261018)
+    columns = tuple(DESK.breakdowns)
+    records = tuple(tuple(rng.choice(DESK.breakdown(b).categories) for b in columns) for _ in range(2000))
+    spec, spsn = (CellKey(2.0, 5), True) if name == "cellkey" else (Laplace(0.5), False)
+    output = perturb_outputs(DESK, Microdata(columns, records), spec, 11, spsn=spsn)
+    h = hashlib.sha256()
+    for stat in statistic_universe(DESK):
+        for cell in DESK.cells(stat):
+            entry = run_averaging_attack(DESK, output, StatisticKey(stat.breakdown_ids, cell), optimize).disclosed[0]
+            h.update(repr(tuple(entry[f] for f in ("t", "k", "estimate", "recovered", "true"))).encode())
+    assert h.hexdigest() == ATTACK_DIGESTS[(name, optimize)]
 
 
 def test_spsn_release_reuses_noise_across_tables():

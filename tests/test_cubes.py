@@ -4,7 +4,8 @@ The release pipeline counts each table once as a numpy cube and sums axes
 for its marginals; record keys are summed the same way as uint64 cubes.
 These properties pin both to the record-by-record definitions, and pin
 seeded releases to digests taken from the record-by-record implementation
-the cubes replaced.
+the cubes replaced.  The averaging attack's per-statistic estimate cubes are
+pinned bit for bit to the mean of per-cell IRR sums.
 """
 
 import hashlib
@@ -26,7 +27,8 @@ from sdcnoise.noise import (
     cell_key,
     cell_key_noise,
 )
-from sdcnoise.attacks import perturb_outputs
+from sdcnoise.attacks import averaging_estimates, perturb_outputs, run_averaging_attack
+from sdcnoise.redundancy import count_k_t, enumerate_irrs, optimize_kt2
 from sdcnoise.tables import (
     Breakdown,
     Microdata,
@@ -140,6 +142,40 @@ def test_cube_cell_keys_are_bit_exact_and_order_free(case, rnd):
             for cell, total, key in zip(programme.cells(sub), sums.tolist(), keys):
                 assert total == sum(rk.fraction for rk in members[cell]) % 2**64
                 assert key == cell_key(members[cell])
+
+
+def irr_value(output, irr, target):
+    """One IRR of one cell: index the cell in the source cube and sum the rest."""
+    stat_ids = target.breakdown_ids | irr.summed_out
+    cell = {bid: output.categories[bid][value] for bid, value in zip(target.sorted_ids, target.cell)}
+    index = tuple(cell.get(bid, slice(None)) for bid in sorted(stat_ids))
+    return float(output.cubes[(irr.table_id, stat_ids)][index].sum())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    programmes_with_data(),
+    st.sampled_from([CellKey(variance=2.0, bound=3), Laplace(0.5)]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_averaging_estimates_match_per_cell_irr_means(case, spec, spsn, seed):
+    programme, data = case
+    output = perturb_outputs(programme, data, spec, seed, spsn=spsn)
+    for ids in output.exact:
+        key = StatisticKey(ids)
+        irrs = enumerate_irrs(programme, key, spsn=spsn)
+        for optimize, aggregate in ((False, count_k_t), (True, optimize_kt2)):
+            result = averaging_estimates(programme, output, ids, optimize)
+            assert averaging_estimates(programme, output, ids, optimize) is result
+            estimates, stats = result
+            want = aggregate(irrs, key)
+            assert (stats.t, stats.k, stats.irrs) == (want.t, want.k, want.irrs)
+            for cell, got in zip(programme.cells(key), estimates.ravel().tolist()):
+                target = StatisticKey(ids, cell)
+                mean = float(np.mean([irr_value(output, irr, target) for irr in want.irrs]))
+                assert got == mean
+                assert run_averaging_attack(programme, output, target, optimize).disclosed[0]["estimate"] == mean
 
 
 def test_tabulate_unknown_category_is_a_programme_error():
