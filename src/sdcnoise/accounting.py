@@ -66,7 +66,7 @@ def tightest_delta(pmf: Mapping[int, float], epsilon: float) -> float:
     Maximizes sum_x max(0, p(x) - e^eps * p(x - s)) over shifts s in {+1, -1};
     strictly positive for every bounded pmf at any finite epsilon.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     total = sum(pmf.values())
     if abs(total - 1.0) > 1e-9 or any(p < 0 for p in pmf.values()):
@@ -128,7 +128,7 @@ def compose(parts: Sequence[float]) -> float:
 
 def halving_schedule(global_epsilon: float, i: int) -> float:
     """Budget eps/2^i of the i-th call under the iterative halving schedule."""
-    if global_epsilon <= 0:
+    if not global_epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {global_epsilon}")
     if i < 1:
         raise DomainError(f"call index must be >= 1, got {i}")
@@ -148,7 +148,7 @@ def eps_alpha_n(n: int, alpha: float) -> float:
 
 def noise_scale_for_global(global_epsilon: float, t: float) -> float:
     """Per-count Laplace noise scale sqrt(2)*t/eps under an even eps/t split."""
-    if global_epsilon <= 0 or t <= 0:
+    if not (global_epsilon > 0 and t > 0):
         raise DomainError("epsilon and output complexity must be positive")
     return math.sqrt(2.0) * t / global_epsilon
 
@@ -156,7 +156,7 @@ def noise_scale_for_global(global_epsilon: float, t: float) -> float:
 def us_table_budget(global_epsilon: float, rounded: bool = True) -> float:
     """Per-table budget: 67.5% of a 1/6 geography share, i.e. 0.1125*eps exactly,
     or the working approximation 0.10*eps when ``rounded``."""
-    if global_epsilon <= 0:
+    if not global_epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {global_epsilon}")
     share = 0.10 if rounded else 0.675 / 6.0
     return share * global_epsilon

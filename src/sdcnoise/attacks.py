@@ -243,7 +243,7 @@ def averaging_success(
     max(0, 1 - k*V/(t^2 * xi^2)); ``Gaussian`` evaluates the normal model with
     summed-noise variance k*V/t^2 exactly.
     """
-    if variance < 0 or k <= 0 or t <= 0 or xi <= 0:
+    if not (variance >= 0 and k > 0 and t > 0 and xi > 0):
         raise DomainError("V must be nonnegative and k, t, xi positive")
     if variance == 0:
         return 1.0

@@ -11,8 +11,8 @@ bad programme files, ...).
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import secrets
 import sys
 from importlib import resources
@@ -33,6 +33,17 @@ _DEMOS = {
 
 def _data_text(name: str) -> str:
     return resources.files("sdcnoise.data").joinpath(name).read_text(encoding="utf-8")
+
+
+def _read_input(path: str | None, bundled: str) -> str:
+    """Text of the file ``path``, or of the bundled data file ``bundled`` without one."""
+    if not path:
+        return _data_text(bundled)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_programme_arg(value: str) -> tables.TableProgramme:
@@ -57,21 +68,44 @@ def _header(command: str, params: dict, seed: int | None = None) -> list[str]:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    """The one output sink: the file ``out`` if given, else stdout."""
+    if not out:
+        click.echo(text, nl=False)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _emit_report(report: attacks.AttackReport, out: str | None) -> None:
-    _emit(report.to_json() + "\n", out)
+def _format_value(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def _write_csv(out: str | None, header: list[str], columns, rows) -> None:
+    """Header lines as ``#`` comments, the column line, then one line per row."""
+    lines = [f"# {line}" for line in header] + [",".join(columns)]
+    lines += [",".join(_format_value(v) for v in row) for row in rows]
+    _emit("\n".join(lines) + "\n", out)
 
 
 def _load_config(ctx, param, value):
     if value:
-        with open(value, encoding="utf-8") as fh:
-            ctx.default_map = json.load(fh)
+        try:
+            with open(value, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise click.BadParameter(f"cannot read {value}: {exc}") from exc
+        if not (isinstance(config, dict) and all(isinstance(v, dict) for v in config.values())):
+            raise click.BadParameter(f"{value} must map command names to objects")
+        ctx.default_map = config
     return value
 
 
@@ -92,16 +126,16 @@ def cli():
 @cli.command("ptable")
 @click.option("--v", "variance", type=float, required=True, help="Noise variance V.")
 @click.option("--e", "bound", type=int, required=True, help="Noise bound E.")
-@click.option("--js", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
-def cmd_ptable(variance, bound, js, out):
+def cmd_ptable(variance, bound, out):
     """Generate a maximum-entropy lookup table and write it as CSV."""
-    ptable = noise.gen_ptable(variance, bound, js)
-    buf = io.StringIO()
-    ptable.write_csv(
-        buf, comments=_header("ptable", {"V": variance, "E": bound, "js": js})
+    ptable = noise.gen_ptable(variance, bound)
+    _write_csv(
+        out,
+        _header("ptable", {"V": variance, "E": bound}),
+        ["j", "p_j", "cumulative"],
+        zip(ptable.support.tolist(), ptable.probabilities.tolist(), ptable.cumulative.tolist()),
     )
-    _emit(buf.getvalue(), out)
 
 
 @cli.command("analyze")
@@ -124,23 +158,26 @@ def cmd_analyze(programme, spsn, geo_override, order, out):
     overrides = {}
     for item in geo_override:
         bid, _, value = item.partition("=")
-        if not value:
-            raise click.UsageError(f"--geo-override needs ID=N, got {item!r}")
-        overrides[bid] = int(value)
+        try:
+            overrides[bid] = int(value)
+        except ValueError:
+            raise click.BadParameter(f"needs ID=N, got {item!r}", param_hint="--geo-override") from None
     stats = redundancy.rank_statistics(
         prog, spsn=spsn, geo_cardinalities=overrides or None, order=order
     )
-    buf = io.StringIO()
-    redundancy.write_ranking_csv(
-        stats,
-        spsn,
-        buf,
-        comments=_header(
+    _write_csv(
+        out,
+        _header(
             "analyze",
             {"programme": programme, "spsn": spsn, "order": order, "geo_override": dict(overrides)},
         ),
+        ["statistic", "spsn", "t", "k", "ratio", "opt_t", "opt_k", "opt_ratio"],
+        (
+            [s.target.label(), spsn, s.raw.t, s.raw.k, s.raw.ratio,
+             s.optimized.t, s.optimized.k, s.optimized.ratio]
+            for s in stats
+        ),
     )
-    _emit(buf.getvalue(), out)
 
 
 @cli.group("attack")
@@ -162,7 +199,7 @@ def _ptable_for(dist: str, bound: int, variance: float | None) -> noise.PTable:
 @click.option("--v", "variance", type=float, default=None)
 @click.option("--alpha", type=float, default=0.68, show_default=True)
 @click.option("--streams", type=int, default=0, help="Monte Carlo streams (0 = analytic only).")
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     """Probability and 3-tuple complexity of disclosing the noise bound."""
@@ -181,7 +218,7 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
             m_required=None if m == float("inf") else int(m),
             seed=seed,
         )
-    _emit_report(report, out)
+    _emit(report.to_json() + "\n", out)
 
 
 @attack_group.command("margin")
@@ -196,16 +233,13 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_margin(bound, input_path, out):
     """Scan constraint tuples for the all-extreme noise pattern."""
-    if input_path:
-        with open(input_path, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = _data_text("margin_demo.csv")
-    rows = [
-        [int(v) for v in line.split(",")]
-        for line in text.strip().splitlines()
-        if line and not line.startswith("#")
-    ]
+    rows = []
+    for number, line in enumerate(_read_input(input_path, "margin_demo.csv").splitlines(), start=1):
+        if line.strip() and not line.startswith("#"):
+            try:
+                rows.append([int(v) for v in line.split(",")])
+            except ValueError:
+                raise DomainError(f"tuple file line {number}: not integers: {line!r}") from None
     found = attacks.margin_exploit_scan(rows, bound)
     report = attacks.AttackReport(
         attack="MarginExploit",
@@ -213,7 +247,7 @@ def cmd_margin(bound, input_path, out):
         mc_trials=len(rows),
         mc_successes=len(found),
     )
-    _emit_report(report, out)
+    _emit(report.to_json() + "\n", out)
 
 
 @attack_group.command("averaging")
@@ -222,7 +256,7 @@ def cmd_margin(bound, input_path, out):
 @click.option("--k", type=int, required=True)
 @click.option("--t", type=int, required=True)
 @click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--xi", type=float, default=0.5, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_averaging(variance, bound, k, t, trials, seed, xi, out):
@@ -230,7 +264,7 @@ def cmd_averaging(variance, bound, k, t, trials, seed, xi, out):
     seed = _resolve_seed(seed)
     ptable = noise.gen_ptable(variance, bound)
     report = attacks.averaging_mc(ptable, k, t, trials, seed, xi)
-    _emit_report(report, out)
+    _emit(report.to_json() + "\n", out)
 
 
 @cli.group("utility")
@@ -238,38 +272,28 @@ def utility_group():
     """Small-area distortion analysis."""
 
 
-def _load_areas(path: str | None) -> list[utility.AreaRecord]:
-    if path:
-        return utility.read_areas(path)
-    return utility.read_areas_text(_data_text("synth_areas.csv"))
-
-
 @utility_group.command("estimate")
 @click.option("--areas", type=click.Path(exists=True), default=None)
 @click.option("--eps", type=float, required=True)
 @click.option("--re", "re_threshold", type=float, required=True)
-@click.option("--bin-width", type=int, default=20, show_default=True)
-@click.option("--max-count", type=int, default=500, show_default=True)
+@click.option("--bin-width", type=click.IntRange(min=1), default=20, show_default=True)
+@click.option("--max-count", type=click.IntRange(min=1), default=500, show_default=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
     """Expected relative-error exceedances per count bin."""
-    records = _load_areas(areas)
+    records = utility.read_areas_text(_read_input(areas, "synth_areas.csv"))
     edges = list(range(0, max_count + bin_width, bin_width))
     hist = utility.observations_histogram(records, edges)
     estimates = utility.binned_distortion_estimate(hist, eps, re_threshold)
-    lines = [
-        f"# {line}"
-        for line in _header(
+    _write_csv(
+        out,
+        _header(
             "utility estimate",
             {"eps": eps, "re": re_threshold, "bin_width": bin_width, "areas": areas or "bundled"},
-        )
-    ]
-    lines.append("bin_left,bin_right,observations,expected_exceed")
-    for left, right, count, est in zip(
-        hist.bin_edges, hist.bin_edges[1:], hist.bin_counts, estimates
-    ):
-        lines.append(f"{left},{right},{count},{est!r}")
-    _emit("\n".join(lines) + "\n", out)
+        ),
+        ["bin_left", "bin_right", "observations", "expected_exceed"],
+        zip(hist.bin_edges, hist.bin_edges[1:], hist.bin_counts, estimates),
+    )
 
 
 @utility_group.command("sample")
@@ -279,11 +303,11 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
 @click.option("--v", "variance", type=float, default=None)
 @click.option("--e", "bound", type=int, default=None)
 @click.option("--re", "re_thresholds", type=float, multiple=True, required=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, out):
     """Sample noise on area counts and tally distortions per threshold."""
-    records = _load_areas(areas)
+    records = utility.read_areas_text(_read_input(areas, "synth_areas.csv"))
     if mech == "laplace":
         if eps is None:
             raise click.UsageError("--eps is required for --mech laplace")
@@ -298,20 +322,16 @@ def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, o
         spec = noise.CellKey(variance=variance, bound=bound)
     seed = _resolve_seed(seed)
     tallies = utility.sample_distortions(records, spec, seed, list(re_thresholds))
-    lines = [
-        f"# {line}"
-        for line in _header(
+    _write_csv(
+        out,
+        _header(
             "utility sample",
             {"mech": mech, "eps": eps, "V": variance, "E": bound, "areas": areas or "bundled"},
             seed,
-        )
-    ]
-    lines.append("re_threshold,single,broadband,zero_hits")
-    for tally in tallies:
-        lines.append(
-            f"{tally.re_threshold!r},{tally.single},{tally.broadband},{tally.zero_hits}"
-        )
-    _emit("\n".join(lines) + "\n", out)
+        ),
+        ["re_threshold", "single", "broadband", "zero_hits"],
+        ((t.re_threshold, t.single, t.broadband, t.zero_hits) for t in tallies),
+    )
 
 
 @cli.group("scan")
@@ -320,10 +340,14 @@ def scan_group():
 
 
 def _grid_range(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0 or hi < lo:
-        raise click.UsageError("need step > 0 and max >= min")
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
+        raise click.UsageError("need finite bounds and step, step > 0 and max >= min")
     values = np.arange(lo, hi + step / 2, step)
     return [round(float(v), 12) for v in values]
+
+
+def _write_grid(out: str | None, header: list[str], grid: utility.ConstraintGrid) -> None:
+    _write_csv(out, header, grid.columns, ([cell.get(c) for c in grid.columns] for cell in grid.cells))
 
 
 @scan_group.command("ve")
@@ -345,15 +369,7 @@ def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
         kt2=kt2,
         alpha=alpha,
     )
-    buf = io.StringIO()
-    grid.write_csv(
-        buf,
-        comments=_header(
-            "scan ve",
-            {"m_avail": m_avail, "kt2": kt2, "alpha": alpha},
-        ),
-    )
-    _emit(buf.getvalue(), out)
+    _write_grid(out, _header("scan ve", {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}), grid)
 
 
 @scan_group.command("eps")
@@ -374,15 +390,14 @@ def cmd_scan_eps(eps_min, eps_max, eps_step, kt2_values, e_alpha, t_lau, alpha, 
         t_lau,
         alpha=alpha,
     )
-    buf = io.StringIO()
-    grid.write_csv(
-        buf,
-        comments=_header(
+    _write_grid(
+        out,
+        _header(
             "scan eps",
             {"kt2": list(kt2_values), "e_alpha": e_alpha, "t_lau": t_lau, "alpha": alpha},
         ),
+        grid,
     )
-    _emit(buf.getvalue(), out)
 
 
 @cli.group("account")

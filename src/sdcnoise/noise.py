@@ -24,7 +24,7 @@ _FRAC_ONE = 1 << _FRAC_BITS
 
 def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
     """Variance 2*(delta/epsilon)^2 of Laplace noise calibrated to sensitivity."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     if delta_sens < 1:
         raise DomainError(f"sensitivity must be >= 1, got {delta_sens}")
@@ -33,7 +33,7 @@ def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
 
 def geometric2_pmf(x, epsilon: float):
     """Two-tailed geometric pmf on the integers, (1-q)/(1+q) * q^|x| with q=e^-eps."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     q = math.exp(-epsilon)
     return (1.0 - q) / (1.0 + q) * np.exp(-epsilon * np.abs(x))
@@ -92,13 +92,6 @@ class PTable:
     def as_pmf(self) -> dict[int, float]:
         return {int(j): float(p) for j, p in zip(self.support, self.probabilities)}
 
-    def write_csv(self, fh, comments: list[str] | None = None) -> None:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write("j,p_j,cumulative\n")
-        for j, p, c in zip(self.support, self.probabilities, self.cumulative):
-            fh.write(f"{int(j)},{float(p)!r},{float(c)!r}\n")
-
 
 def _variance_for_lambda(lam: float, bound: int) -> float:
     j = np.arange(-bound, bound + 1)
@@ -106,19 +99,22 @@ def _variance_for_lambda(lam: float, bound: int) -> float:
     return float(np.sum(j**2 * w) / np.sum(w))
 
 
-def gen_ptable(variance: float, bound: int, js: int = 0) -> PTable:
+def _check_variance(variance: float, bound: int) -> float:
+    """The uniform maximum E(E+1)/3, after checking 0 < V <= it (NaN fails)."""
+    vmax = uniform_max_variance(bound)
+    if not 0 < variance <= vmax + 1e-12:
+        raise InfeasibleError(
+            f"variance {variance} is not positive or exceeds the uniform maximum "
+            f"E(E+1)/3 = {vmax}"
+        )
+    return vmax
+
+
+def gen_ptable(variance: float, bound: int) -> PTable:
     """Maximum-entropy lookup table with mean 0, variance ``variance``, bound ``bound``."""
-    if js != 0:
-        raise DomainError("js > 0 (smallest non-zero published count) is not implemented")
     if bound < 1:
         raise DomainError(f"bound must be a positive integer, got {bound}")
-    if variance <= 0:
-        raise InfeasibleError(f"variance must be positive, got {variance}")
-    vmax = uniform_max_variance(bound)
-    if variance > vmax + 1e-12:
-        raise InfeasibleError(
-            f"variance {variance} exceeds the uniform maximum E(E+1)/3 = {vmax}"
-        )
+    vmax = _check_variance(variance, bound)
     j = np.arange(-bound, bound + 1)
     if abs(variance - vmax) <= 1e-12:
         lam = 0.0
@@ -202,7 +198,7 @@ class TwoTailedGeometric:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
 
 
@@ -212,7 +208,7 @@ class TruncatedLaplace:
     bound: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
         if self.bound < 1:
             raise DomainError(f"bound must be a positive integer, got {self.bound}")
@@ -222,21 +218,12 @@ class TruncatedLaplace:
 class CellKey:
     variance: float
     bound: int
-    js: int = 0
 
     def __post_init__(self):
-        if self.js < 0:
-            raise DomainError(f"js must be nonnegative, got {self.js}")
-        if self.variance <= 0:
-            raise InfeasibleError(f"variance must be positive, got {self.variance}")
-        if self.variance > uniform_max_variance(self.bound) + 1e-12:
-            raise InfeasibleError(
-                f"variance {self.variance} exceeds the uniform maximum "
-                f"E(E+1)/3 = {uniform_max_variance(self.bound)}"
-            )
+        _check_variance(self.variance, self.bound)
 
     def ptable(self) -> PTable:
-        return gen_ptable(self.variance, self.bound, self.js)
+        return gen_ptable(self.variance, self.bound)
 
 
 NoiseSpec = Laplace | TwoTailedGeometric | TruncatedLaplace | CellKey

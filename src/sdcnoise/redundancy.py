@@ -195,15 +195,3 @@ def rank_statistics(
         stats.sort(key=lambda s: (s.optimized.ratio, -s.raw.t, s.target.sorted_ids))
     return stats
 
-
-def write_ranking_csv(
-    stats: Sequence[RankedStatistic], spsn: bool, fh, comments=None
-) -> None:
-    for line in comments or []:
-        fh.write(f"# {line}\n")
-    fh.write("statistic,spsn,t,k,ratio,opt_t,opt_k,opt_ratio\n")
-    for s in stats:
-        fh.write(
-            f"{s.target.label()},{int(spsn)},{s.raw.t},{s.raw.k},{s.raw.ratio!r},"
-            f"{s.optimized.t},{s.optimized.k},{s.optimized.ratio!r}\n"
-        )

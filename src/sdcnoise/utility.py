@@ -59,9 +59,9 @@ class CountHistogram:
 
 def tail_prob(epsilon: float, threshold: float) -> float:
     """Two-sided Laplace(1/eps) tail mass beyond magnitude ``threshold``: exp(-eps*E)."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    if threshold < 0:
+    if not threshold >= 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
     return math.exp(-epsilon * threshold)
 
@@ -75,7 +75,7 @@ def binned_distortion_estimate(
     (every count in the bin is at most the right edge, so the true exceedance
     probability is at least the one used here).
     """
-    if re_threshold <= 0:
+    if not re_threshold > 0:
         raise DomainError(f"relative error threshold must be positive, got {re_threshold}")
     estimates = []
     for right, count in zip(hist.bin_edges[1:], hist.bin_counts):
@@ -83,27 +83,22 @@ def binned_distortion_estimate(
     return estimates
 
 
-def read_areas(path) -> list[AreaRecord]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return read_areas_text(fh.read())
-
-
 def read_areas_text(text: str) -> list[AreaRecord]:
-    rows = [r for r in csv.reader(text.splitlines()) if r and not r[0].startswith("#")]
-    header, body = rows[0], rows[1:]
+    """Parse area_id,country,f,m,t rows; a bad row raises DomainError naming its line."""
+    reader = csv.reader(text.splitlines())
+    rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
     expected = ["area_id", "country", "f", "m", "t"]
+    header = rows[0][1] if rows else "an empty file"
     if header != expected:
         raise DomainError(f"area CSV header must be {expected}, got {header}")
-    return [
-        AreaRecord(area_id=r[0], country=r[1], f=int(r[2]), m=int(r[3]), t=int(r[4]))
-        for r in body
-    ]
-
-
-def write_areas(areas: Sequence[AreaRecord], fh) -> None:
-    fh.write("area_id,country,f,m,t\n")
-    for a in areas:
-        fh.write(f"{a.area_id},{a.country},{a.f},{a.m},{a.t}\n")
+    areas = []
+    for line, row in rows[1:]:
+        try:
+            area_id, country, f, m, t = row
+            areas.append(AreaRecord(area_id=area_id, country=country, f=int(f), m=int(m), t=int(t)))
+        except (ValueError, DomainError) as exc:
+            raise DomainError(f"area CSV line {line}: {exc}") from exc
+    return areas
 
 
 def synthetic_areas(count: int, seed, max_total: int = 500) -> list[AreaRecord]:
@@ -166,7 +161,7 @@ def sample_distortions(
         rel = np.where(positive, np.abs(noise) / np.where(positive, truth, 1.0), 0.0)
     tallies = []
     for threshold in re_thresholds:
-        if threshold <= 0:
+        if not threshold > 0:
             raise DomainError(f"relative error threshold must be positive, got {threshold}")
         exceed = (rel > threshold) & positive
         same_sign = (np.all(noise > 0, axis=1)) | (np.all(noise < 0, axis=1))
@@ -184,7 +179,7 @@ def sample_distortions(
 
 def dp_utility_eps(e_alpha: float, t_outputs: float, alpha: float) -> float:
     """Smallest per-count budget keeping all t counts within e_alpha at confidence alpha."""
-    if e_alpha <= 0 or t_outputs <= 0:
+    if not (e_alpha > 0 and t_outputs > 0):
         raise DomainError("bound and output count must be positive")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0,1), got {alpha}")
@@ -198,28 +193,8 @@ def dp_utility_eps(e_alpha: float, t_outputs: float, alpha: float) -> float:
 class ConstraintGrid:
     """Rectangular scan result: one dict of recorded values per grid cell."""
 
-    axes: tuple[tuple[str, tuple[float, ...]], ...]
     columns: tuple[str, ...]
     cells: list[dict] = field(default_factory=list)
-
-    def write_csv(self, fh, comments: Sequence[str] | None = None) -> None:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(self.columns) + "\n")
-        for cell in self.cells:
-            fh.write(
-                ",".join(_format_value(cell.get(c)) for c in self.columns) + "\n"
-            )
-
-
-def _format_value(v):
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def scan_ve(
@@ -230,7 +205,7 @@ def scan_ve(
     alpha: float = 0.68,
 ) -> ConstraintGrid:
     """Scan the bounded-noise (V, E) plane for bound-disclosure and averaging risk."""
-    if m_avail <= 0:
+    if not m_avail > 0:
         raise DomainError(f"m_avail must be positive, got {m_avail}")
     columns = [
         "V",
@@ -243,10 +218,7 @@ def scan_ve(
     ]
     if kt2 is not None:
         columns += ["alpha_averaging", "averaging_safe"]
-    grid = ConstraintGrid(
-        axes=(("V", tuple(v_values)), ("E", tuple(e_values))),
-        columns=tuple(columns),
-    )
+    grid = ConstraintGrid(columns=tuple(columns))
     for v in v_values:
         for e in e_values:
             cell: dict = {"V": float(v), "E": int(e)}
@@ -304,12 +276,10 @@ def scan_eps(
         "band_conservative",
         "band_relaxed",
     ]
-    grid = ConstraintGrid(
-        axes=(("eps", tuple(eps_values)),), columns=tuple(columns)
-    )
+    grid = ConstraintGrid(columns=tuple(columns))
     eps_min = dp_utility_eps(e_alpha, t_outputs, alpha)
     for eps in eps_values:
-        if eps <= 0:
+        if not eps > 0:
             raise DomainError(f"epsilon must be positive, got {eps}")
         variance = 2.0 / eps**2
         cell: dict = {"eps": float(eps), "V": variance}

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -222,3 +223,113 @@ def test_scan_ve_subnormal_p1_has_no_tuple_count():
     assert 0.0 < float(row["p1"]) < 1e-300
     assert row["m_required"] == ""
     assert row["e_disclosure_safe"] == "1"
+
+
+# Bad option values are usage errors (exit 1); bad data, unwritable outputs and
+# infeasible or NaN parameters are domain errors (exit 2).  ``{tmp}`` is a
+# directory holding the fixture files written below.
+EXIT_PROBES = {
+    "out-unwritable": (["analyze", "desk", "--out", "/nonexistent/dir/x.csv"], 2),
+    "config-malformed": (["--config", "{tmp}/bad.json", "ptable"], 1),
+    "config-not-object": (["--config", "{tmp}/list.json", "ptable"], 1),
+    "geo-override-not-int": (["analyze", "desk", "--geo-override", "GEO.M=abc"], 1),
+    "bin-width-zero": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--bin-width", "0"], 1),
+    "max-count-zero": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--max-count", "0"], 1),
+    "scan-v-min-nan": (["scan", "ve", "--v-min", "nan", "--m-avail", "1000"], 1),
+    "scan-eps-step-inf": (["scan", "eps", "--eps-step", "inf", "--kt2", "0.1", "--t-lau", "68"], 1),
+    "js-removed": (["ptable", "--v", "2", "--e", "5", "--js", "1"], 1),
+    "areas-not-int": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",
+                       "--areas", "{tmp}/bad_areas.csv"], 2),
+    "areas-empty": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--areas", "{tmp}/empty.csv"], 2),
+    "areas-directory": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--areas", "{tmp}"], 2),
+    "margin-not-int": (["attack", "margin", "--e", "2", "--input", "{tmp}/bad_margin.csv"], 2),
+    "ptable-v-nan": (["ptable", "--v", "nan", "--e", "3"], 2),
+    "averaging-v-nan": (["attack", "averaging", "--v", "nan", "--e", "5", "--k", "10", "--t", "5",
+                         "--trials", "10", "--seed", "1"], 2),
+    "sample-ck-v-nan": (["utility", "sample", "--mech", "ck", "--v", "nan", "--e", "3",
+                         "--re", "0.5", "--seed", "1"], 2),
+    "sample-eps-nan": (["utility", "sample", "--eps", "nan", "--re", "0.5", "--seed", "1"], 2),
+    "scan-m-avail-nan": (["scan", "ve", "--m-avail", "nan"], 2),
+    "seed-negative": (["attack", "averaging", "--v", "2", "--e", "5", "--k", "10", "--t", "5",
+                       "--trials", "10", "--seed", "-1"], 1),
+}
+
+
+@pytest.mark.parametrize("args, code", EXIT_PROBES.values(), ids=EXIT_PROBES.keys())
+def test_exit_contract(tmp_path, args, code):
+    (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "bad_areas.csv").write_text("area_id,country,f,m,t\nA,X,1,2,3\nB,X,x,2,3\n")
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "bad_margin.csv").write_text("5,4,9\n1,a,3\n")
+    proc = run_cli(*(a.format(tmp=tmp_path) for a in args), check=False)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()
+    if code == 2:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+
+
+def test_bad_data_errors_name_their_line(tmp_path):
+    (tmp_path / "areas.csv").write_text("area_id,country,f,m,t\n# note\nA,X,1,2,3\nB,X,x,2,3\n")
+    (tmp_path / "tuples.csv").write_text("5,4,9\n\n1,a,3\n")
+    areas = run_cli("utility", "estimate", "--eps", "0.1", "--re", "0.5",
+                    "--areas", str(tmp_path / "areas.csv"), check=False)
+    assert areas.returncode == 2
+    assert areas.stderr.startswith("error: area CSV line 4: ")
+    margin = run_cli("attack", "margin", "--e", "2", "--input", str(tmp_path / "tuples.csv"), check=False)
+    assert margin.returncode == 2
+    assert margin.stderr.startswith("error: tuple file line 3: ")
+
+
+# SHA-256 of stdout for the README's example commands (without --out, with the
+# bundled desk programme for my_programme.json), the config-file ptable and the
+# subnormal-p1 scan, recorded before the CSV writers were merged into one.  The
+# ptable digests were recorded with the removed "# js: 0" header line deleted.
+STDOUT_PINS = [
+    (["ptable", "--v", "2", "--e", "5"],
+     "7f9ca292323de10c75413adca278fd524bb9a4b9540c2bbb80312137a03c1f82"),
+    (["analyze", "desk", "--spsn"],
+     "a7f6f30b540fc44b37220725ee2077ed66c0c88eff8c9cec58cfea1cb012de20"),
+    (["analyze", "desk", "--no-spsn", "--geo-override", "GEO.M=429"],
+     "baab7a263a6a31cfa32536dfec06326a5fe054e1ff9fb816f431c7cde9cd90f3"),
+    (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2", "--alpha", "0.68"],
+     "640bfb75642afc1bd22ce17b7292596226a336ec032da890f336b59b6622a757"),
+    (["attack", "margin", "--e", "2"],
+     "f2f1a503b0a34404c470dedc3000232888c1335688657a23966665f3c5c964d6"),
+    (["attack", "averaging", "--v", "2", "--e", "10", "--k", "1000", "--t", "100",
+      "--trials", "1000", "--seed", "1"],
+     "cf93e99e1fca00c483e4211a60aeb10d2131706db080a3f1a822a182341b4e5f"),
+    (["utility", "estimate", "--eps", "0.1", "--re", "0.5"],
+     "6c1cc50bd2945bc07a01d55093782f4c006655beecd227633b8f7d18b580ddc3"),
+    (["utility", "sample", "--mech", "laplace", "--eps", "0.1", "--re", "0.2", "--re", "0.5",
+      "--seed", "3"],
+     "8abcdc24e8e513bf7ad83653f41f1f0b432f1d3dfc9f40f2ff9d9147d501d29f"),
+    (["scan", "ve", "--m-avail", "2.8e7", "--kt2", "0.1"],
+     "ff5770e1eefef2dc7f0ca48c95989d9dc62c1c372954b1c0b4e5851bf9e1f7b5"),
+    (["scan", "eps", "--kt2", "0.0118", "--kt2", "0.112", "--e-alpha", "20", "--t-lau", "68"],
+     "de073782d0e0910a20b111a0a82b11350777f983af6fd79f51c923227ff7f551"),
+    (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "1.0"],
+     "e055e5c3cb712ec7a2ab72f56925df58029d7d804c7e0294acf65789d2c95bde"),
+    (["account", "sensitivity", "sex-age", "--query", "SEX", "--query", "total"],
+     "e20547a22c856a90feef7f77f7857d7003a316ad24983258ceccfba84b396d4e"),
+    (["account", "budget", "--global-eps", "1.0", "--halving", "10"],
+     "f59bef916e2e41ddc07bfb09866bb97a821f1fc2f452aa8af1cd18c5ec39317e"),
+    (["--config", "{tmp}/cfg.json", "ptable"],
+     "7f9ca292323de10c75413adca278fd524bb9a4b9540c2bbb80312137a03c1f82"),
+    (["scan", "ve", "--v-min", "2", "--v-max", "2", "--e-min", "32", "--e-max", "32",
+      "--m-avail", "2.8e7"],
+     "e44b37fbdb38437481e1438a962b7cf57537354a6c5a284284c2948f4d29a4e6"),
+]
+
+
+@pytest.mark.parametrize("args, digest", STDOUT_PINS, ids=[" ".join(a) for a, _ in STDOUT_PINS])
+def test_stdout_is_byte_identical_to_recorded_digest(tmp_path, args, digest):
+    (tmp_path / "cfg.json").write_text(json.dumps({"ptable": {"variance": 2.0, "bound": 5}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdcnoise", *(a.format(tmp=tmp_path) for a in args)],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -63,9 +63,20 @@ def test_gen_ptable_infeasible():
         gen_ptable(-1.0, 3)
 
 
-def test_gen_ptable_js_not_implemented():
-    with pytest.raises(DomainError, match="not implemented"):
-        gen_ptable(2.0, 5, js=1)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_ptable(math.nan, 3),
+        lambda: CellKey(variance=math.nan, bound=3),
+        lambda: Laplace(epsilon=math.nan),
+        lambda: TwoTailedGeometric(epsilon=math.nan),
+        lambda: TruncatedLaplace(epsilon=math.nan, bound=3),
+    ],
+    ids=["gen_ptable", "CellKey", "Laplace", "TwoTailedGeometric", "TruncatedLaplace"],
+)
+def test_nan_parameters_are_rejected(make):
+    with pytest.raises(DomainError):
+        make()
 
 
 def test_ptable_variance_grid():

@@ -1,9 +1,10 @@
-import io
 import itertools
 import random
 
 import pytest
+from click.testing import CliRunner
 
+from sdcnoise.cli import cli
 from sdcnoise.errors import DomainError
 from sdcnoise.redundancy import (
     IRR,
@@ -12,7 +13,6 @@ from sdcnoise.redundancy import (
     optimize_kt2,
     rank_statistics,
     statistic_universe,
-    write_ranking_csv,
 )
 from sdcnoise.tables import (
     Breakdown,
@@ -215,9 +215,10 @@ def test_rank_statistics_by_ratio():
 
 
 def test_ranking_csv_layout():
-    buf = io.StringIO()
-    write_ranking_csv(rank_statistics(SEX_AGE), True, buf)
-    lines = buf.getvalue().strip().splitlines()
+    # the CLI writes the ranking; the bundled sex-age demo is SEX_AGE
+    result = CliRunner().invoke(cli, ["analyze", "sex-age", "--spsn"])
+    assert result.exit_code == 0, result.output
+    lines = [l for l in result.stdout.strip().splitlines() if not l.startswith("#")]
     assert lines[0] == "statistic,spsn,t,k,ratio,opt_t,opt_k,opt_ratio"
     total_row = next(l for l in lines if l.startswith("total,"))
     assert total_row.split(",")[:5] == ["total", "1", "4", "9", "0.5625"]

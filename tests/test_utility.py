@@ -1,10 +1,11 @@
-import io
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from sdcnoise import utility
+from sdcnoise.cli import _write_csv, _write_grid
 from sdcnoise.errors import DomainError
 from sdcnoise.noise import CellKey, Laplace, sample_noise
 from sdcnoise.utility import (
@@ -13,13 +14,12 @@ from sdcnoise.utility import (
     binned_distortion_estimate,
     dp_utility_eps,
     observations_histogram,
-    read_areas,
+    read_areas_text,
     sample_distortions,
     scan_eps,
     scan_ve,
     synthetic_areas,
     tail_prob,
-    write_areas,
 )
 
 
@@ -82,9 +82,9 @@ def test_synthetic_areas_shape():
 def test_area_csv_roundtrip(tmp_path):
     areas = synthetic_areas(50, 4)
     path = tmp_path / "areas.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        write_areas(areas, fh)
-    assert read_areas(path) == areas
+    columns = [f.name for f in dataclasses.fields(AreaRecord)]
+    _write_csv(str(path), [], columns, map(dataclasses.astuple, areas))
+    assert read_areas_text(path.read_text(encoding="utf-8")) == areas
 
 
 def test_observations_histogram_excludes_zeros():
@@ -213,15 +213,15 @@ def test_scan_eps_bands():
     assert max(relaxed) == pytest.approx(0.3667, abs=0.005)
 
 
-def test_grid_csv_deterministic():
+def test_grid_csv_deterministic(tmp_path):
     grids = [
         scan_eps([0.1, 0.2, 0.3], [0.0118, 0.112], 20.0, 68.0) for _ in range(2)
     ]
     outputs = []
-    for grid in grids:
-        buf = io.StringIO()
-        grid.write_csv(buf, comments=["run"])
-        outputs.append(buf.getvalue())
+    for i, grid in enumerate(grids):
+        path = tmp_path / f"grid{i}.csv"
+        _write_grid(str(path), ["run"], grid)
+        outputs.append(path.read_text(encoding="utf-8"))
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith("# run\n")
 
@@ -229,5 +229,7 @@ def test_grid_csv_deterministic():
 def test_scan_validation():
     with pytest.raises(DomainError):
         scan_ve([2.0], [5], m_avail=0.0)
+    with pytest.raises(DomainError):
+        scan_ve([2.0], [5], m_avail=math.nan)
     with pytest.raises(DomainError):
         scan_eps([0.1], [], 20.0, 68.0)
