@@ -127,12 +127,12 @@ def compose(parts: Sequence[float]) -> float:
 
 
 def halving_schedule(global_epsilon: float, i: int) -> float:
-    """Budget eps/2^i of the i-th call under the iterative halving schedule."""
+    """Budget eps/2^i of the i-th call under the iterative halving schedule (0 once it underflows)."""
     if not global_epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {global_epsilon}")
     if i < 1:
         raise DomainError(f"call index must be >= 1, got {i}")
-    return global_epsilon / 2.0**i
+    return math.ldexp(global_epsilon, -i)
 
 
 def eps_alpha_n(n: int, alpha: float) -> float:

@@ -289,7 +289,8 @@ class NoisyOutput:
     ``tables`` maps (table id, statistic ids) to noisy cell values; with SPSN
     the table id slot is None because identical statistics share their noise.
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
-    sorted ids whose axes ``categories`` index, and memoises into ``estimates``.
+    sorted ids whose axes the programme's ``category_index`` indexes, and
+    memoises into ``estimates``.
     ``exact`` keeps the pre-noise tabulations per unique statistic for harness bookkeeping only.
     """
 
@@ -297,7 +298,6 @@ class NoisyOutput:
     tables: Mapping[OutputKey, Mapping[tuple, float]]
     exact: Mapping[frozenset, Mapping[tuple, int]]
     cubes: Mapping[OutputKey, np.ndarray] = field(default_factory=dict, compare=False, repr=False)
-    categories: Mapping[str, Mapping[str, int]] = field(default_factory=dict, compare=False, repr=False)
     estimates: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -324,7 +324,7 @@ def perturb_outputs(
     cell_key = spsn and isinstance(spec, CellKey)
     record_keys = rng.integers(0, 2**64, size=data.n, dtype=np.uint64) if cell_key else None
     codes = encode(programme, data, sorted({bid for table in programme.tables for bid in table.breakdowns}))
-    exact_cubes, key_cubes, released = {}, {}, []
+    exact_cubes, key_cubes = {}, {}
     for table in programme.tables:
         ids = tuple(sorted(table.breakdowns))
         flat, shape = cube_index(programme, codes, ids)
@@ -333,7 +333,6 @@ def perturb_outputs(
             keys = np.zeros(shape, dtype=np.uint64)
             np.add.at(keys.reshape(-1), flat, record_keys)  # a view: keys is contiguous
         for stat in (sub.breakdown_ids for sub in enumerate_subtables(table)):
-            released.append((table.id, stat))
             if stat not in exact_cubes:
                 exact_cubes[stat] = marginal(counts, ids, stat)
                 key_cubes[stat] = marginal(keys, ids, stat) if cell_key else None
@@ -341,7 +340,7 @@ def perturb_outputs(
     exact = {ids: dict(zip(cells[ids], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
     ptable = spec.ptable() if cell_key else None
     tables, cubes, draw_orders = {}, {}, {}
-    for key in [(None, ids) for ids in exact_cubes] if spsn else released:
+    for key in [(None, ids) for ids in exact_cubes] if spsn else programme.released:
         ids, cube = key[1], exact_cubes[key[1]]
         if spec is None:
             tables[key], cubes[key] = dict(exact[ids]), cube
@@ -356,8 +355,7 @@ def perturb_outputs(
             values = cube.ravel()[order] + sample_noise(spec, rng.integers(0, 2**63), cube.size)
             tables[key] = dict(zip(sorted_cells, values.tolist()))
             cubes[key] = values[inverse].reshape(cube.shape)
-    categories = {bid: {c: i for i, c in enumerate(programme.breakdown(bid).categories)} for bid in codes}
-    return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes, categories=categories)
+    return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes)
 
 
 def averaging_estimates(
@@ -396,7 +394,7 @@ def run_averaging_attack(
         raise DomainError("averaging attack needs a fully specified target cell")
     estimates, stats = averaging_estimates(programme, output, target.breakdown_ids, optimize)
     try:
-        index = tuple(output.categories[bid][value] for bid, value in zip(target.sorted_ids, target.cell))
+        index = tuple(programme.category_index[bid][value] for bid, value in zip(target.sorted_ids, target.cell))
     except KeyError:
         programme.validate_key(target)  # names the value that is not a category
         raise

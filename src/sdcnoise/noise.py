@@ -24,11 +24,17 @@ _FRAC_ONE = 1 << _FRAC_BITS
 
 def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
     """Variance 2*(delta/epsilon)^2 of Laplace noise calibrated to sensitivity."""
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if delta_sens < 1:
         raise DomainError(f"sensitivity must be >= 1, got {delta_sens}")
-    return 2.0 * (delta_sens / epsilon) ** 2
+    try:
+        variance = 2.0 * (delta_sens / epsilon) ** 2  # a subnormal epsilon gives inf without raising
+    except OverflowError:
+        variance = math.inf
+    if variance == math.inf:
+        raise DomainError(f"Laplace variance 2*({delta_sens}/{epsilon})^2 overflows")
+    return variance
 
 
 def geometric2_pmf(x, epsilon: float):
@@ -120,6 +126,8 @@ def gen_ptable(variance: float, bound: int) -> PTable:
         lam = 0.0
     else:
         lo, hi = 0.0, 50.0
+        while _variance_for_lambda(hi, bound) > variance:  # tiny V needs a wider bracket
+            hi *= 2.0
         # variance is strictly decreasing in lambda; bisect the residual away
         for _ in range(200):
             mid = 0.5 * (lo + hi)

@@ -10,11 +10,11 @@ sets; without it every (table, marginalization) pair counts.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, ProgrammeError
 from .tables import StatisticKey, TableProgramme
 
 
@@ -55,58 +55,35 @@ class IRRStats:
         return self.k / self.t**2
 
 
-def _weight(
-    programme: TableProgramme,
-    summed_out: frozenset[str],
-    overrides: Mapping[str, int] | None,
-) -> int:
-    w = 1
-    for bid in summed_out:
-        if overrides and bid in overrides:
-            w *= int(overrides[bid])
-        else:
-            w *= programme.breakdown(bid).cardinality
-    return w
-
-
 def enumerate_irrs(
     programme: TableProgramme,
     target: StatisticKey,
     spsn: bool = True,
     geo_cardinalities: Mapping[str, int] | None = None,
 ) -> list[IRR]:
-    """All IRRs of a target statistic available in the programme."""
+    """All IRRs of a target statistic available in the programme.
+
+    Each released statistic that holds the target is one IRR, in
+    ``programme.released`` order; with SPSN a summed-out set counts once.
+    """
     programme.validate_key(target)
+    sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
+    for bid, size in (geo_cardinalities or {}).items():
+        if bid not in sizes:
+            raise ProgrammeError(f"cardinality override for {bid!r}, which is not a breakdown")
+        if int(size) < 1:
+            raise DomainError(f"cardinality override {bid}={size} must be at least 1")
+        sizes[bid] = int(size)
     ids = target.breakdown_ids
     irrs: list[IRR] = []
     seen: set[frozenset[str]] = set()
-    for table in programme.tables:
-        tset = table.breakdown_set
-        if not ids <= tset:
-            continue
-        complement = sorted(tset - ids)
-        for size in range(len(complement) + 1):
-            for combo in itertools.combinations(complement, size):
-                summed = frozenset(combo)
-                if spsn:
-                    if summed in seen:
-                        continue
-                    seen.add(summed)
-                    irrs.append(
-                        IRR(summed_out=summed, k_weight=_weight(programme, summed, geo_cardinalities))
-                    )
-                else:
-                    irrs.append(
-                        IRR(
-                            summed_out=summed,
-                            k_weight=_weight(programme, summed, geo_cardinalities),
-                            table_id=table.id,
-                        )
-                    )
+    for table_id, stat in programme.released:
+        if ids <= stat and not (spsn and stat in seen):
+            seen.add(stat)
+            summed = stat - ids
+            irrs.append(IRR(summed, math.prod(sizes[bid] for bid in summed), None if spsn else table_id))
     if not irrs:
-        raise DomainError(
-            f"statistic {target.label()} is not contained in any table of the programme"
-        )
+        raise DomainError(f"statistic {target.label()} is not contained in any table of the programme")
     return irrs
 
 
@@ -147,16 +124,8 @@ def statistic_universe(programme: TableProgramme) -> list[StatisticKey]:
 
     Deterministic order: by dimension, then by sorted breakdown ids.
     """
-    seen: set[frozenset[str]] = set()
-    for table in programme.tables:
-        ids = sorted(table.breakdowns)
-        for size in range(len(ids) + 1):
-            for combo in itertools.combinations(ids, size):
-                seen.add(frozenset(combo))
-    return [
-        StatisticKey(s)
-        for s in sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))
-    ]
+    seen = {stat for _, stat in programme.released}
+    return [StatisticKey(s) for s in sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))]
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,12 @@ class StatisticKey:
 
 
 class TableProgramme:
-    """Catalog of breakdowns plus the list of published tables."""
+    """Catalog of breakdowns plus the list of published tables.
+
+    Two facts are derived once: ``released``, every (table id, statistic ids)
+    pair of a full release in table order and then :func:`enumerate_subtables`
+    order, and ``category_index``, each breakdown's category-to-position map.
+    """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):
         self.breakdowns: dict[str, Breakdown] = {}
@@ -111,6 +116,12 @@ class TableProgramme:
                         f"unknown breakdown reference {bid!r}",
                         f"tables[{i}].breakdowns[{j}]",
                     )
+        self.released: tuple[tuple[str, frozenset[str]], ...] = tuple(
+            (t.id, sub.breakdown_ids) for t in self.tables for sub in enumerate_subtables(t)
+        )
+        self.category_index: dict[str, dict[str, int]] = {
+            bid: {c: i for i, c in enumerate(b.categories)} for bid, b in self.breakdowns.items()
+        }
 
     def breakdown(self, bid: str) -> Breakdown:
         try:
@@ -121,12 +132,9 @@ class TableProgramme:
     def validate_key(self, key: StatisticKey) -> None:
         for bid in key.breakdown_ids:
             self.breakdown(bid)
-        if key.cell is not None:
-            for bid, value in zip(key.sorted_ids, key.cell):
-                if value not in self.breakdown(bid).categories:
-                    raise ProgrammeError(
-                        f"value {value!r} is not a category of breakdown {bid!r}"
-                    )
+        for bid, value in zip(key.sorted_ids, key.cell or ()):
+            if value not in self.category_index[bid]:
+                raise ProgrammeError(f"value {value!r} is not a category of breakdown {bid!r}")
 
     def cells(self, key: StatisticKey) -> list[Cell]:
         """All cells of a statistic, lexicographic by breakdown id then category index."""
@@ -193,6 +201,12 @@ class Microdata:
     columns: tuple[str, ...]
     records: tuple[tuple[str, ...], ...]
 
+    def __post_init__(self):
+        widths = list(map(len, self.records))
+        if widths.count(len(self.columns)) != len(widths):
+            i = next(i for i, width in enumerate(widths) if width != len(self.columns))
+            raise ProgrammeError(f"{widths[i]} values for {len(self.columns)} columns", f"records[{i}]")
+
     @property
     def n(self) -> int:
         return len(self.records)
@@ -205,30 +219,24 @@ class Microdata:
 
 
 def validate_microdata(programme: TableProgramme, data: Microdata) -> None:
-    if set(data.columns) != set(programme.breakdowns):
+    if sorted(data.columns) != sorted(programme.breakdowns):
         raise ProgrammeError(
             f"microdata columns {sorted(data.columns)} do not match catalog "
             f"{sorted(programme.breakdowns)}"
         )
-    for i, record in enumerate(data.records):
-        for bid, value in zip(data.columns, record):
-            if value not in programme.breakdown(bid).categories:
-                raise ProgrammeError(
-                    f"value {value!r} is not a category of breakdown {bid!r}",
-                    f"records[{i}]",
-                )
+    encode(programme, data, data.columns)
 
 
 def read_microdata(path, programme: TableProgramme | None = None) -> Microdata:
     """Read microdata from CSV (header row mandatory, one column per breakdown)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ProgrammeError("microdata CSV is empty") from None
-        records = [tuple(row) for row in reader if row]
-    data = Microdata(columns=tuple(header), records=tuple(records))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = [tuple(row) for row in csv.reader(fh) if row]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProgrammeError(f"cannot read microdata file: {exc}") from exc
+    if not rows:
+        raise ProgrammeError("microdata CSV is empty")
+    data = Microdata(columns=rows[0], records=tuple(rows[1:]))
     if programme is not None:
         validate_microdata(programme, data)
     return data
@@ -239,12 +247,14 @@ def encode(programme: TableProgramme, data: Microdata, ids: Iterable[str]) -> di
     columns = list(zip(*data.records)) or [()] * len(data.columns)
     codes = {}
     for bid in ids:
-        column = columns[data.column_index(bid)]
-        index = {c: i for i, c in enumerate(programme.breakdown(bid).categories)}
+        column, index = columns[data.column_index(bid)], programme.category_index[bid]
         try:
             codes[bid] = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
         except KeyError as exc:
-            raise ProgrammeError(f"value {exc.args[0]!r} is not a category of breakdown {bid!r}") from None
+            (value,) = exc.args
+            raise ProgrammeError(
+                f"value {value!r} is not a category of breakdown {bid!r}", f"records[{column.index(value)}]"
+            ) from None
     return codes
 
 
@@ -284,10 +294,6 @@ def tabulate(
 
 def neighbor(data: Microdata, op: str, record: tuple[str, ...]) -> Microdata:
     """A database differing from ``data`` by exactly one record."""
-    if len(record) != len(data.columns):
-        raise ProgrammeError(
-            f"record length {len(record)} does not match columns {len(data.columns)}"
-        )
     if op == "add":
         return Microdata(columns=data.columns, records=data.records + (tuple(record),))
     if op == "remove":

@@ -7,6 +7,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdcnoise.attacks import (
     AttackReport,
@@ -69,6 +71,25 @@ def test_p1_exhaustive_on_ptables():
             if abs(a + b + c) > 3 * (bound - 1)
         )
         assert float(p1_exact(probs, bound)) == pytest.approx(brute, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0))
+@example(1, 0.0)
+@example(12, 0.0)
+@example(12, 0.5)
+@example(2, 1.0)
+def test_p1_float_path_matches_fraction_path(bound, u):
+    """The float convolution of a p-table agrees with exact arithmetic on the same floats."""
+    low, high = math.log(1e-300), math.log(uniform_max_variance(bound))
+    variance = min(math.exp(low + u * (high - low)), uniform_max_variance(bound))
+    probs = gen_ptable(variance, bound).probabilities
+    got = float(p1_exact(probs, bound))
+    exact = p1_exact([Fraction(float(p)) for p in probs], bound)
+    if exact > 1e-290:
+        assert abs(Fraction(got) - exact) <= Fraction(1e-12) * exact
+    else:
+        assert abs(Fraction(got) - exact) <= Fraction(1e-300)
 
 
 def test_p1_cell_key_table_magnitude():

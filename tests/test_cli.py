@@ -252,6 +252,12 @@ EXIT_PROBES = {
     "scan-m-avail-nan": (["scan", "ve", "--m-avail", "nan"], 2),
     "seed-negative": (["attack", "averaging", "--v", "2", "--e", "5", "--k", "10", "--t", "5",
                        "--trials", "10", "--seed", "-1"], 1),
+    "budget-halving-600": (["account", "budget", "--global-eps", "1", "--halving", "600"], 2),
+    "budget-halving-2000": (["account", "budget", "--global-eps", "1", "--halving", "2000"], 2),
+    "budget-eps-tiny": (["account", "budget", "--global-eps", "1e-200"], 2),
+    "budget-eps-inf": (["account", "budget", "--global-eps", "inf"], 2),
+    "geo-override-unknown": (["analyze", "desk", "--geo-override", "FOO=3"], 2),
+    "geo-override-zero": (["analyze", "desk", "--geo-override", "GEO.M=0"], 2),
 }
 
 

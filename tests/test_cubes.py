@@ -144,10 +144,10 @@ def test_cube_cell_keys_are_bit_exact_and_order_free(case, rnd):
                 assert key == cell_key(members[cell])
 
 
-def irr_value(output, irr, target):
+def irr_value(programme, output, irr, target):
     """One IRR of one cell: index the cell in the source cube and sum the rest."""
     stat_ids = target.breakdown_ids | irr.summed_out
-    cell = {bid: output.categories[bid][value] for bid, value in zip(target.sorted_ids, target.cell)}
+    cell = {bid: programme.category_index[bid][value] for bid, value in zip(target.sorted_ids, target.cell)}
     index = tuple(cell.get(bid, slice(None)) for bid in sorted(stat_ids))
     return float(output.cubes[(irr.table_id, stat_ids)][index].sum())
 
@@ -173,7 +173,7 @@ def test_averaging_estimates_match_per_cell_irr_means(case, spec, spsn, seed):
             assert (stats.t, stats.k, stats.irrs) == (want.t, want.k, want.irrs)
             for cell, got in zip(programme.cells(key), estimates.ravel().tolist()):
                 target = StatisticKey(ids, cell)
-                mean = float(np.mean([irr_value(output, irr, target) for irr in want.irrs]))
+                mean = float(np.mean([irr_value(programme, output, irr, target) for irr in want.irrs]))
                 assert got == mean
                 assert run_averaging_attack(programme, output, target, optimize).disclosed[0]["estimate"] == mean
 

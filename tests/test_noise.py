@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdcnoise.errors import DomainError, InfeasibleError
 from sdcnoise.noise import (
@@ -31,6 +33,29 @@ def test_laplace_variance_examples():
 def test_laplace_variance_rejects_bad_epsilon():
     with pytest.raises(DomainError):
         laplace_variance(0.0)
+
+
+def log_uniform_variance(u, bound):
+    """The variance at fraction ``u`` of the log scale from 1e-300 to E(E+1)/3."""
+    low, high = math.log(1e-300), math.log(uniform_max_variance(bound))
+    return min(math.exp(low + u * (high - low)), uniform_max_variance(bound))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.floats(0.0, 1.0))
+@example(1, 0.0)
+@example(5, 0.0)
+@example(5, 0.9)
+@example(60, 1.0)
+def test_gen_ptable_hits_every_feasible_variance(bound, u):
+    variance = log_uniform_variance(u, bound)
+    assert gen_ptable(variance, bound).variance() == pytest.approx(variance, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("epsilon", [math.inf, -math.inf, 1e-200, 1e-320])
+def test_laplace_variance_rejects_infinite_epsilon_and_overflow(epsilon):
+    with pytest.raises(DomainError):
+        laplace_variance(epsilon)
 
 
 def test_geometric2_symmetry_and_value():

@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sdcnoise.cli import cli
-from sdcnoise.errors import DomainError
+from sdcnoise.errors import DomainError, ProgrammeError
 from sdcnoise.redundancy import (
     IRR,
     count_k_t,
@@ -165,6 +168,78 @@ def test_k_weight_geo_overrides():
         SEX_AGE, TOTAL, geo_cardinalities={"AGE": 100}
     )
     assert sorted(i.k_weight for i in irrs) == [1, 2, 100, 200]
+
+
+def test_geo_overrides_are_validated():
+    with pytest.raises(ProgrammeError, match="'FOO'"):
+        enumerate_irrs(SEX_AGE, TOTAL, geo_cardinalities={"FOO": 3})
+    for size in (0, -2):
+        with pytest.raises(DomainError, match="at least 1"):
+            enumerate_irrs(SEX_AGE, StatisticKey(frozenset({"SEX", "AGE"})), geo_cardinalities={"AGE": size})
+
+
+def test_programme_lattice_and_category_index():
+    assert SEX_AGE.released == (
+        ("T1", frozenset()),
+        ("T1", frozenset({"AGE"})),
+        ("T1", frozenset({"SEX"})),
+        ("T1", frozenset({"AGE", "SEX"})),
+    )
+    assert SEX_AGE.category_index == {"SEX": {"F": 0, "M": 1}, "AGE": {"young": 0, "old": 1}}
+
+
+def complement_irrs(programme, target, spsn, overrides):
+    """IRRs table by table from the combinations of the complement of the target."""
+    irrs, seen = [], set()
+    for table in programme.tables:
+        if not target <= table.breakdown_set:
+            continue
+        complement = sorted(table.breakdown_set - target)
+        for size in range(len(complement) + 1):
+            for combo in itertools.combinations(complement, size):
+                summed = frozenset(combo)
+                if spsn and summed in seen:
+                    continue
+                seen.add(summed)
+                k = math.prod(overrides.get(bid, programme.breakdown(bid).cardinality) for bid in summed)
+                irrs.append(IRR(summed, k, None if spsn else table.id))
+    return irrs
+
+
+def complement_universe(programme):
+    """Statistics of every table's combinations, by dimension then sorted ids."""
+    seen = set()
+    for table in programme.tables:
+        ids = sorted(table.breakdowns)
+        for size in range(len(ids) + 1):
+            seen.update(frozenset(combo) for combo in itertools.combinations(ids, size))
+    return [StatisticKey(s) for s in sorted(seen, key=lambda s: (len(s), tuple(sorted(s))))]
+
+
+@st.composite
+def programmes_with_overrides(draw):
+    """1-5 breakdowns, 1-5 tables in any breakdown order, and some cardinality overrides."""
+    names = draw(st.permutations(["GEO", "SEX", "AGE", "POB", "ETH"]))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    breakdowns = [Breakdown(id=bid, categories=tuple(f"c{j}" for j in range(size))) for bid, size in zip(names, sizes)]
+    ids = [b.id for b in breakdowns]
+    tables = [
+        TableSpec(id=f"T{t}", breakdowns=tuple(draw(st.permutations(ids))[: draw(st.integers(1, len(ids)))]))
+        for t in range(draw(st.integers(1, 5)))
+    ]
+    overrides = draw(st.dictionaries(st.sampled_from(ids), st.integers(1, 500)))
+    return TableProgramme(breakdowns, tables), overrides
+
+
+@settings(max_examples=300, deadline=None)
+@given(programmes_with_overrides(), st.booleans())
+def test_lattice_irrs_equal_per_table_complement_combinations(case, spsn):
+    programme, overrides = case
+    universe = statistic_universe(programme)
+    assert universe == complement_universe(programme)
+    for key in universe:
+        got = enumerate_irrs(programme, key, spsn=spsn, geo_cardinalities=overrides or None)
+        assert got == complement_irrs(programme, key.breakdown_ids, spsn, overrides)
 
 
 def test_spsn_dominance_randomized():

@@ -248,6 +248,37 @@ def test_validate_microdata_bad_value(sex_age):
         validate_microdata(sex_age, data)
 
 
+def test_validate_microdata_names_the_record(sex_age):
+    records = (("F", "young"), ("M", "old"), ("M", "middle"))
+    with pytest.raises(ProgrammeError, match=r"'middle' is not a category of breakdown 'AGE' \(at records\[2\]\)"):
+        validate_microdata(sex_age, Microdata(columns=("SEX", "AGE"), records=records))
+    with pytest.raises(ProgrammeError, match="do not match catalog"):
+        validate_microdata(sex_age, Microdata(columns=("SEX", "SEX"), records=()))
+
+
+@pytest.mark.parametrize("record", [("F",), ("F", "young", "x")])
+def test_ragged_record_is_rejected(record):
+    with pytest.raises(ProgrammeError, match=r"records\[1\]"):
+        Microdata(columns=("SEX", "AGE"), records=(("M", "old"), record))
+    with pytest.raises(ProgrammeError, match=r"records\[1\]"):
+        neighbor(Microdata(columns=("SEX", "AGE"), records=(("M", "old"),)), "add", record)
+
+
+def test_read_microdata_rejects_ragged_and_unreadable_files(tmp_path, sex_age):
+    path = tmp_path / "micro.csv"
+    path.write_text("SEX,AGE\nF,young\nM\n", encoding="utf-8")
+    with pytest.raises(ProgrammeError, match=r"1 values for 2 columns \(at records\[1\]\)"):
+        read_microdata(path, sex_age)
+    with pytest.raises(ProgrammeError, match="cannot read microdata file"):
+        read_microdata(tmp_path / "absent.csv", sex_age)
+    path.write_bytes(b"SEX,AGE\n\xff,young\n")
+    with pytest.raises(ProgrammeError, match="cannot read microdata file"):
+        read_microdata(path, sex_age)
+    path.write_text("\n", encoding="utf-8")
+    with pytest.raises(ProgrammeError, match="empty"):
+        read_microdata(path, sex_age)
+
+
 def test_statistic_key_label():
     assert StatisticKey(frozenset()).label() == "total"
     assert StatisticKey(frozenset({"SEX", "AGE"})).label() == "AGE*SEX"
