@@ -54,11 +54,9 @@ from .redundancy import (
 from .attacks import (
     AttackReport,
     NoisyOutput,
-    TripleObservation,
     averaging_mc,
     averaging_success,
     bound_disclosure_mc,
-    estimate_bound,
     margin_exploit_mc,
     margin_exploit_scan,
     p1_exact,

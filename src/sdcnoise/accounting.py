@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .tables import StatisticKey, TableProgramme
+from .utility import dp_utility_eps
 
 
 @dataclass(frozen=True)
@@ -60,25 +61,36 @@ def reid_rate(r_recon: float, r_match: float) -> ReidRates:
     return ReidRates(r_recon=r_recon, r_match=r_match)
 
 
+def _excess(p: float, q: float, factor: float, epsilon: float) -> float:
+    """max(0, p - e^eps * q), where ``factor`` is e^eps, or inf once it overflows and logs compare."""
+    if q == 0.0:
+        return p
+    if factor < math.inf:
+        return max(0.0, p - factor * q)
+    if p == 0.0 or epsilon >= math.log(p) - math.log(q):
+        return 0.0
+    return p - math.exp(epsilon + math.log(q))
+
+
 def tightest_delta(pmf: Mapping[int, float], epsilon: float) -> float:
     """Smallest delta making a unit-shifted pair of this noise pmf (eps, delta)-DP.
 
     Maximizes sum_x max(0, p(x) - e^eps * p(x - s)) over shifts s in {+1, -1};
     strictly positive for every bounded pmf at any finite epsilon.
     """
-    if not epsilon >= 0:
-        raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
+    if not 0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be nonnegative and finite, got {epsilon}")
     total = sum(pmf.values())
     if abs(total - 1.0) > 1e-9 or any(p < 0 for p in pmf.values()):
         raise DomainError(f"invalid pmf (sum {total})")
-    factor = math.exp(epsilon)
-    best = 0.0
-    for shift in (1, -1):
-        delta = sum(
-            max(0.0, p - factor * pmf.get(x - shift, 0.0)) for x, p in pmf.items()
-        )
-        best = max(best, delta)
-    return best
+    try:
+        factor = math.exp(epsilon)
+    except OverflowError:
+        factor = math.inf
+    return max(
+        sum(_excess(p, pmf.get(x - shift, 0.0), factor, epsilon) for x, p in pmf.items())
+        for shift in (1, -1)
+    )
 
 
 def sensitivity(
@@ -128,8 +140,8 @@ def compose(parts: Sequence[float]) -> float:
 
 def halving_schedule(global_epsilon: float, i: int) -> float:
     """Budget eps/2^i of the i-th call under the iterative halving schedule (0 once it underflows)."""
-    if not global_epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {global_epsilon}")
+    if not 0 < global_epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {global_epsilon}")
     if i < 1:
         raise DomainError(f"call index must be >= 1, got {i}")
     return math.ldexp(global_epsilon, -i)
@@ -137,26 +149,24 @@ def halving_schedule(global_epsilon: float, i: int) -> float:
 
 def eps_alpha_n(n: int, alpha: float) -> float:
     """Per-query epsilon above which a size-n database is reconstructable at
-    confidence alpha, assuming t = n log^2 n outputs."""
+    confidence alpha (Dinur & Nissim): the budget keeping t = n log^2 n
+    outputs within sqrt(n)."""
     if n < 2:
         raise DomainError(f"database size must be >= 2, got {n}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
-    t = n * math.log(n) ** 2
-    return math.log(t / (1.0 - alpha)) / math.sqrt(n)
+    return dp_utility_eps(math.sqrt(n), n * math.log(n) ** 2, alpha)
 
 
 def noise_scale_for_global(global_epsilon: float, t: float) -> float:
     """Per-count Laplace noise scale sqrt(2)*t/eps under an even eps/t split."""
-    if not (global_epsilon > 0 and t > 0):
-        raise DomainError("epsilon and output complexity must be positive")
+    if not (0 < global_epsilon < math.inf and t > 0):
+        raise DomainError("epsilon must be positive and finite, output complexity positive")
     return math.sqrt(2.0) * t / global_epsilon
 
 
 def us_table_budget(global_epsilon: float, rounded: bool = True) -> float:
     """Per-table budget: 67.5% of a 1/6 geography share, i.e. 0.1125*eps exactly,
     or the working approximation 0.10*eps when ``rounded``."""
-    if not global_epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {global_epsilon}")
+    if not 0 < global_epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {global_epsilon}")
     share = 0.10 if rounded else 0.675 / 6.0
     return share * global_epsilon

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,19 +21,6 @@ from .noise import CellKey, NoiseSpec, PTable, sample_noise
 from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
 from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import cube_index, encode, marginal
-
-
-@dataclass(frozen=True)
-class TripleObservation:
-    """Noisy (f, m, t) observations with expectation constraint E(f + m - t) = 0."""
-
-    f: int
-    m: int
-    t: int
-
-    @property
-    def residual(self) -> int:
-        return self.f + self.m - self.t
 
 
 @dataclass
@@ -55,16 +42,7 @@ class AttackReport:
             raise DomainError("successes cannot exceed trials")
 
     def to_json(self) -> str:
-        payload = {
-            "attack": self.attack,
-            "probability": self.probability,
-            "m_required": self.m_required,
-            "disclosed": self.disclosed,
-            "mc_trials": self.mc_trials,
-            "mc_successes": self.mc_successes,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 # --- bound disclosure --------------------------------------------------------
@@ -122,53 +100,21 @@ def tuples_needed(p1: float, alpha: float) -> float:
     return math.ceil(tuples) if math.isfinite(tuples) else math.inf
 
 
-def running_bound_estimates(stream: Sequence[TripleObservation]) -> list[int]:
-    """Anytime estimate ceil(|f+m-t|/3) maximized over the stream so far."""
-    if not stream:
-        raise DomainError("cannot estimate from an empty stream")
-    estimates = []
-    best = 0
-    for obs in stream:
-        best = max(best, math.ceil(abs(obs.residual) / 3))
-        estimates.append(best)
-    return estimates
+def bound_disclosure_mc(ptable: PTable, m: int, streams: int, seed) -> AttackReport:
+    """Fraction of streams of m noisy constrained 3-tuples (f, m, t = f + m) revealing the bound E.
 
-
-def estimate_bound(stream: Sequence[TripleObservation]) -> int:
-    """Final bound estimate after the whole stream; never exceeds the true bound."""
-    return running_bound_estimates(stream)[-1]
-
-
-def simulate_triples(ptable: PTable, count: int, seed) -> list[TripleObservation]:
-    """Noisy 3-tuples over true counts (f, m, f+m) with independent table noise."""
-    rng = np.random.default_rng(seed)
-    true_f = rng.integers(0, 50, size=count)
-    true_m = rng.integers(0, 50, size=count)
-    noise = ptable.quantile(rng.random((count, 3)))
-    return [
-        TripleObservation(
-            f=int(true_f[i] + noise[i, 0]),
-            m=int(true_m[i] + noise[i, 1]),
-            t=int(true_f[i] + true_m[i] + noise[i, 2]),
-        )
-        for i in range(count)
-    ]
-
-
-def bound_disclosure_mc(
-    ptable: PTable, m: int, streams: int, seed, true_bound: int | None = None
-) -> AttackReport:
-    """Fraction of length-m streams whose max estimate reveals the true bound."""
+    The attacker's running estimate max ceil(|f + m - t| / 3) reaches E
+    exactly when some residual exceeds 3(E - 1) in magnitude.
+    """
     if m < 1 or streams < 1:
         raise DomainError("stream length and count must be positive")
-    bound = true_bound if true_bound is not None else ptable.bound
     rng = np.random.default_rng(seed)
     draws = ptable.quantile(rng.random((streams, m, 3)))
     residual = draws[:, :, 0] + draws[:, :, 1] - draws[:, :, 2]
-    revealed = np.any(np.abs(residual) > 3 * (bound - 1), axis=1)
+    revealed = np.any(np.abs(residual) > 3 * (ptable.bound - 1), axis=1)
     return AttackReport(
         attack="BoundDisclosure",
-        probability=float(p1_exact(ptable.probabilities, bound)),
+        probability=float(p1_exact(ptable.probabilities, ptable.bound)),
         m_required=m,
         mc_trials=streams,
         mc_successes=int(revealed.sum()),
@@ -204,14 +150,12 @@ def margin_exploit_scan(
     return disclosures
 
 
-def margin_exploit_mc(
-    ptable: PTable, count: int, seed, n_internal: int = 2
-) -> AttackReport:
-    """Simulated output scan; disclosed entries carry recovered and true counts."""
+def margin_exploit_mc(ptable: PTable, count: int, seed) -> AttackReport:
+    """Simulated scan of 3-tuples (f, m, f + m); disclosed entries carry recovered and true counts."""
     rng = np.random.default_rng(seed)
-    true_internal = rng.integers(0, 50, size=(count, n_internal))
+    true_internal = rng.integers(0, 50, size=(count, 2))
     true_total = true_internal.sum(axis=1)
-    noise = ptable.quantile(rng.random((count, n_internal + 1)))
+    noise = ptable.quantile(rng.random((count, 3)))
     observed = np.column_stack([true_internal, true_total]) + noise
     found = margin_exploit_scan(observed.tolist(), ptable.bound)
     disclosed = [

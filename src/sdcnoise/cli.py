@@ -343,7 +343,7 @@ def _grid_range(lo: float, hi: float, step: float) -> list[float]:
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
         raise click.UsageError("need finite bounds and step, step > 0 and max >= min")
     values = np.arange(lo, hi + step / 2, step)
-    return [round(float(v), 12) for v in values]
+    return [float(f"{v:.12g}") for v in values]
 
 
 def _write_grid(out: str | None, header: list[str], grid: utility.ConstraintGrid) -> None:
@@ -422,7 +422,7 @@ def cmd_delta(dist, bound, variance, eps, trunc, out):
     else:
         if bound is None:
             raise click.UsageError("--e is required for bounded distributions")
-        ptable = _ptable_for("uniform" if dist == "uniform" else "ptable", bound, variance)
+        ptable = _ptable_for(dist, bound, variance)
         pmf = ptable.as_pmf()
     delta = accounting.tightest_delta(pmf, eps)
     _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)

@@ -39,8 +39,8 @@ def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
 
 def geometric2_pmf(x, epsilon: float):
     """Two-tailed geometric pmf on the integers, (1-q)/(1+q) * q^|x| with q=e^-eps."""
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     q = math.exp(-epsilon)
     return (1.0 - q) / (1.0 + q) * np.exp(-epsilon * np.abs(x))
 
@@ -192,13 +192,12 @@ def cell_key_noise(cell_records, ptable: PTable) -> int:
 @dataclass(frozen=True)
 class Laplace:
     epsilon: float
-    delta_sens: int = 1
 
     def __post_init__(self):
-        laplace_variance(self.epsilon, self.delta_sens)  # validates
+        laplace_variance(self.epsilon)  # validates
 
     def variance(self) -> float:
-        return laplace_variance(self.epsilon, self.delta_sens)
+        return laplace_variance(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -206,8 +205,8 @@ class TwoTailedGeometric:
     epsilon: float
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,8 @@ class TruncatedLaplace:
     bound: int
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
         if self.bound < 1:
             raise DomainError(f"bound must be a positive integer, got {self.bound}")
 
@@ -249,7 +248,7 @@ def sample_noise(spec: NoiseSpec, seed, count: int) -> np.ndarray:
         raise DomainError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)
     if isinstance(spec, Laplace):
-        return rng.laplace(0.0, spec.delta_sens / spec.epsilon, size=count)
+        return rng.laplace(0.0, 1.0 / spec.epsilon, size=count)
     if isinstance(spec, TwoTailedGeometric):
         return _sample_geometric2(rng, spec.epsilon, count)
     if isinstance(spec, TruncatedLaplace):

@@ -59,8 +59,8 @@ class CountHistogram:
 
 def tail_prob(epsilon: float, threshold: float) -> float:
     """Two-sided Laplace(1/eps) tail mass beyond magnitude ``threshold``: exp(-eps*E)."""
-    if not epsilon > 0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     if not threshold >= 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
     return math.exp(-epsilon * threshold)
@@ -101,11 +101,11 @@ def read_areas_text(text: str) -> list[AreaRecord]:
     return areas
 
 
-def synthetic_areas(count: int, seed, max_total: int = 500) -> list[AreaRecord]:
-    """Log-uniform total counts on [1, max_total], split by a fair binomial."""
+def synthetic_areas(count: int, seed) -> list[AreaRecord]:
+    """Log-uniform total counts on [1, 500], split by a fair binomial."""
     rng = np.random.default_rng(seed)
-    totals = np.exp(rng.uniform(0.0, math.log(max_total), size=count)).astype(int)
-    totals = np.clip(totals, 1, max_total)
+    totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(int)
+    totals = np.clip(totals, 1, 500)
     females = rng.binomial(totals, 0.5)
     return [
         AreaRecord(
@@ -279,9 +279,12 @@ def scan_eps(
     grid = ConstraintGrid(columns=tuple(columns))
     eps_min = dp_utility_eps(e_alpha, t_outputs, alpha)
     for eps in eps_values:
-        if not eps > 0:
-            raise DomainError(f"epsilon must be positive, got {eps}")
-        variance = 2.0 / eps**2
+        if not 0 < eps < math.inf:
+            raise DomainError(f"epsilon must be positive and finite, got {eps}")
+        square = eps**2
+        variance = 2.0 / square if square else math.inf  # a tiny eps squares to a subnormal or 0
+        if variance == math.inf:
+            raise DomainError(f"variance 2/eps^2 overflows at eps = {eps}")
         cell: dict = {"eps": float(eps), "V": variance}
         safes = []
         for i, kt2 in enumerate(kt2_sorted):

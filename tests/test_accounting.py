@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +95,33 @@ def test_tightest_delta_geometric_tends_to_zero():
         deltas.append(tightest_delta(pmf, eps))
     assert deltas[0] > deltas[1] > deltas[2]
     assert deltas[-1] < 1e-15
+
+
+@pytest.mark.parametrize("eps", [1.0, 709.0, 710.0, 1e308])
+def test_tightest_delta_uniform_edge_mass_at_any_finite_epsilon(eps):
+    # only the edge atom, which the shifted neighbour cannot reach, violates
+    pmf = gen_ptable(uniform_max_variance(2), 2).as_pmf()
+    assert tightest_delta(pmf, eps) == 0.2
+
+
+@pytest.mark.parametrize("eps", [math.inf, -1.0, math.nan])
+def test_tightest_delta_rejects_infinite_or_negative_epsilon(eps):
+    with pytest.raises(DomainError, match="finite"):
+        tightest_delta(gen_ptable(2.0, 5).as_pmf(), eps)
+
+
+def test_tightest_delta_is_continuous_where_exp_overflows():
+    # a subnormal mass q: e^eps * q stays below p well past exp's overflow
+    q, edge = 1e-310, 1e-20
+    pmf = {-1: q, 0: 1.0 - q - edge, 1: edge}
+    last = math.log(sys.float_info.max)  # largest eps whose exp is finite
+    below, above = tightest_delta(pmf, last), tightest_delta(pmf, math.nextafter(last, math.inf))
+    assert above == pytest.approx(below, rel=1e-14, abs=0)
+    values = [tightest_delta(pmf, eps) for eps in (709.0, 709.5, last, 710.0, 712.0, 713.8, 800.0)]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    for eps in (709.0, 710.0, 712.0):
+        assert tightest_delta(pmf, eps) == pytest.approx(1.0 - edge - math.exp(eps + math.log(q)), rel=1e-12)
+    assert values[-1] == edge  # past log(p / q) only the edge atoms remain
 
 
 def test_tightest_delta_rejects_bad_pmf():
@@ -194,6 +222,26 @@ def test_eps_alpha_n_values():
     expected = math.log(n * math.log(n) ** 2 / 0.01) / math.sqrt(n)
     assert eps_alpha_n(n, 0.99) == pytest.approx(expected, abs=1e-15)
     assert eps_alpha_n(10**6, 0.999) > eps_alpha_n(10**6, 0.99)
+
+
+def test_eps_alpha_n_rejects_bad_alpha():
+    for alpha in (0.0, 1.0, math.nan):
+        with pytest.raises(DomainError, match="alpha"):
+            eps_alpha_n(10**4, alpha)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda eps: halving_schedule(eps, 3),
+        lambda eps: noise_scale_for_global(eps, 100),
+        lambda eps: us_table_budget(eps),
+    ],
+    ids=["halving_schedule", "noise_scale_for_global", "us_table_budget"],
+)
+def test_budget_helpers_reject_infinite_epsilon(call):
+    with pytest.raises(DomainError, match="finite"):
+        call(math.inf)
 
 
 def test_noise_scale_for_global():

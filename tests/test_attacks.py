@@ -12,18 +12,14 @@ from hypothesis import strategies as st
 
 from sdcnoise.attacks import (
     AttackReport,
-    TripleObservation,
     averaging_mc,
     averaging_success,
     bound_disclosure_mc,
-    estimate_bound,
     margin_exploit_mc,
     margin_exploit_scan,
     p1_exact,
     perturb_outputs,
     run_averaging_attack,
-    running_bound_estimates,
-    simulate_triples,
     tuples_needed,
 )
 from sdcnoise.errors import DomainError, ProgrammeError
@@ -114,20 +110,29 @@ def test_tuples_needed():
         tuples_needed(0.5, 1.5)
 
 
-def test_estimate_bound_basics():
-    assert estimate_bound([TripleObservation(f=5, m=4, t=3)]) == 2
-    stream = [TripleObservation(f=1, m=1, t=2)] * 5
-    assert estimate_bound(stream) == 0
-    with pytest.raises(DomainError):
-        estimate_bound([])
-
-
-def test_estimate_bound_sound_and_monotone():
-    pt = gen_ptable(uniform_max_variance(3), 3)
-    stream = simulate_triples(pt, 200, 11)
-    running = running_bound_estimates(stream)
-    assert running[-1] <= 3
-    assert all(b >= a for a, b in zip(running, running[1:]))
+# p1 is 0.16 and 0.058 for the uniform tables, 1.5e-7 for V = 2, E = 5
+@pytest.mark.parametrize(
+    "variance,bound,any_revealed",
+    [(uniform_max_variance(2), 2, True), (uniform_max_variance(3), 3, True), (2.0, 5, False)],
+)
+def test_bound_disclosure_mc_counts_streams_whose_running_estimate_reaches_the_bound(
+    variance, bound, any_revealed
+):
+    pt = gen_ptable(variance, bound)
+    m, streams, seed = 7, 300, 17
+    report = bound_disclosure_mc(pt, m, streams, seed)
+    # the same draws, read as noisy tuples (f, m, t = f + m) over made-up true counts
+    draws = pt.quantile(np.random.default_rng(seed).random((streams, m, 3)))
+    revealed = 0
+    for stream in draws.tolist():
+        best = 0
+        for i, (nf, nm, nt) in enumerate(stream):
+            f, male, total = 10 + i + nf, 20 + nm, 30 + i + nt
+            best = max(best, math.ceil(abs(f + male - total) / 3))
+            assert best <= bound
+        revealed += best == bound
+    assert report.mc_successes == revealed
+    assert (revealed > 0) == any_revealed
 
 
 def test_bound_disclosure_mc_calibration():
@@ -160,6 +165,16 @@ def test_margin_exploit_mc_fraction_and_exactness():
     assert report.disclosed, "expected at least one disclosure in 1e5 tuples"
     for entry in report.disclosed:
         assert entry["recovered"] == entry["true"]
+
+
+def test_margin_exploit_mc_report_is_pinned():
+    # SHA-256 recorded while the number of internal counts was still a parameter
+    report = margin_exploit_mc(gen_ptable(uniform_max_variance(2), 2), 2000, 9)
+    assert report.mc_successes == 29
+    assert (
+        hashlib.sha256(report.to_json().encode()).hexdigest()
+        == "e0e16b280e80f00a15ef0e748d5878704e6a73b17eb19d6de7ca4f6365a148e5"
+    )
 
 
 def test_averaging_success_values():

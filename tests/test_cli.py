@@ -226,7 +226,7 @@ def test_scan_ve_subnormal_p1_has_no_tuple_count():
 
 
 # Bad option values are usage errors (exit 1); bad data, unwritable outputs and
-# infeasible or NaN parameters are domain errors (exit 2).  ``{tmp}`` is a
+# infeasible, NaN or infinite parameters are domain errors (exit 2).  ``{tmp}`` is a
 # directory holding the fixture files written below.
 EXIT_PROBES = {
     "out-unwritable": (["analyze", "desk", "--out", "/nonexistent/dir/x.csv"], 2),
@@ -258,6 +258,13 @@ EXIT_PROBES = {
     "budget-eps-inf": (["account", "budget", "--global-eps", "inf"], 2),
     "geo-override-unknown": (["analyze", "desk", "--geo-override", "FOO=3"], 2),
     "geo-override-zero": (["analyze", "desk", "--geo-override", "GEO.M=0"], 2),
+    "delta-eps-inf": (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "inf"], 2),
+    "delta-geometric-eps-inf": (["account", "delta", "--dist", "geometric", "--eps", "inf"], 2),
+    "estimate-eps-inf": (["utility", "estimate", "--eps", "inf", "--re", "0.5"], 2),
+    "sample-geometric-eps-inf": (["utility", "sample", "--mech", "geometric", "--eps", "inf",
+                                  "--re", "0.5", "--seed", "1"], 2),
+    "scan-eps-variance-overflow": (["scan", "eps", "--eps-min", "1e-300", "--eps-max", "2e-300",
+                                    "--eps-step", "1e-300", "--kt2", "0.1", "--t-lau", "68"], 2),
 }
 
 
@@ -275,6 +282,17 @@ def test_exit_contract(tmp_path, args, code):
     if code == 2:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+
+
+def test_scan_eps_keeps_tiny_grid_values():
+    proc = run_cli("scan", "eps", "--eps-min", "1e-13", "--eps-max", "2e-13", "--eps-step", "1e-13",
+                   "--kt2", "0.1", "--t-lau", "68")
+    assert [float(r["eps"]) for r in _rows(proc.stdout)] == [1e-13, 2e-13]
+
+
+def test_account_delta_huge_epsilon_keeps_the_edge_mass():
+    proc = run_cli("account", "delta", "--dist", "uniform", "--e", "2", "--eps", "1e308")
+    assert json.loads(proc.stdout) == {"epsilon": 1e308, "delta": 0.2}
 
 
 def test_bad_data_errors_name_their_line(tmp_path):
@@ -327,6 +345,13 @@ STDOUT_PINS = [
     (["scan", "ve", "--v-min", "2", "--v-max", "2", "--e-min", "32", "--e-max", "32",
       "--m-avail", "2.8e7"],
      "e44b37fbdb38437481e1438a962b7cf57537354a6c5a284284c2948f4d29a4e6"),
+    # recorded before the per-tuple bound estimator and the unused parameters were removed
+    (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2", "--streams", "500", "--seed", "4"],
+     "7e4adb0c7fc3a109b8d32b5931986d3193eaa27a730762ac20173627265e9a61"),
+    (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1.0"],
+     "9977aae346fef81d5471f45e306632df9297ac945acd4b07d5b0fe1c81c0b420"),
+    (["utility", "sample", "--mech", "geometric", "--eps", "0.1", "--re", "0.5", "--seed", "3"],
+     "e02cfc17a753fa9ac84c789984ee5a83f4e913a8fa054b1559512bbea33f0bb0"),
 ]
 
 

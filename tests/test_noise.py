@@ -104,6 +104,21 @@ def test_nan_parameters_are_rejected(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda eps: geometric2_pmf(0, eps),
+        lambda eps: Laplace(epsilon=eps),
+        lambda eps: TwoTailedGeometric(epsilon=eps),
+        lambda eps: TruncatedLaplace(epsilon=eps, bound=3),
+    ],
+    ids=["geometric2_pmf", "Laplace", "TwoTailedGeometric", "TruncatedLaplace"],
+)
+def test_infinite_epsilon_is_rejected(make):
+    with pytest.raises(DomainError, match="finite"):
+        make(math.inf)
+
+
 def test_ptable_variance_grid():
     for variance in (0.5, 1.0, 2.0, 3.0, 4.0):
         for bound in range(2, 11):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -42,6 +43,8 @@ def test_tail_prob_monotone_and_range():
     assert tail_prob(0.1, 10) > tail_prob(0.1, 20) > tail_prob(0.2, 20)
     with pytest.raises(DomainError):
         tail_prob(-1.0, 5)
+    with pytest.raises(DomainError, match="finite"):
+        tail_prob(math.inf, 5)
 
 
 def test_binned_estimate_worked_example():
@@ -77,6 +80,12 @@ def test_synthetic_areas_shape():
     areas = synthetic_areas(500, 3)
     assert len(areas) == 500
     assert all(1 <= a.t <= 500 and a.f + a.m == a.t for a in areas)
+
+
+def test_synthetic_areas_are_pinned():
+    # SHA-256 recorded while the largest total was still a parameter
+    digest = hashlib.sha256(repr(synthetic_areas(300, 7)).encode()).hexdigest()
+    assert digest == "48d6729efe21d3393e1f50c4dc190529adeb335a75854af46ef5f09fdb11d34e"
 
 
 def test_area_csv_roundtrip(tmp_path):
@@ -233,3 +242,9 @@ def test_scan_validation():
         scan_ve([2.0], [5], m_avail=math.nan)
     with pytest.raises(DomainError):
         scan_eps([0.1], [], 20.0, 68.0)
+    with pytest.raises(DomainError, match="finite"):
+        scan_eps([0.1, math.inf], [0.1], 20.0, 68.0)
+    # 1e-160 squares to a subnormal, 1e-300 to zero: V = 2/eps^2 overflows either way
+    for eps in (1e-160, 1e-300):
+        with pytest.raises(DomainError, match="overflows"):
+            scan_eps([eps], [0.1], 20.0, 68.0)
