@@ -35,9 +35,9 @@ class BudgetSplit:
     parts: tuple[float, ...]
 
     def __post_init__(self):
-        if any(p <= 0 for p in self.parts):
+        if not all(p > 0 for p in self.parts):
             raise DomainError("all budget parts must be positive")
-        if abs(sum(self.parts) - self.global_epsilon) > 1e-12:
+        if not abs(sum(self.parts) - self.global_epsilon) <= 1e-12:
             raise DomainError(
                 f"parts sum to {sum(self.parts)}, not {self.global_epsilon}"
             )
@@ -81,7 +81,7 @@ def tightest_delta(pmf: Mapping[int, float], epsilon: float) -> float:
     if not 0 <= epsilon < math.inf:
         raise DomainError(f"epsilon must be nonnegative and finite, got {epsilon}")
     total = sum(pmf.values())
-    if abs(total - 1.0) > 1e-9 or any(p < 0 for p in pmf.values()):
+    if not abs(total - 1.0) <= 1e-9 or not all(p >= 0 for p in pmf.values()):
         raise DomainError(f"invalid pmf (sum {total})")
     try:
         factor = math.exp(epsilon)
@@ -133,8 +133,8 @@ def sensitivity(
 
 def compose(parts: Sequence[float]) -> float:
     """Sequential composition: budgets add up."""
-    if any(p <= 0 for p in parts):
-        raise DomainError("all epsilons must be positive")
+    if not all(0 < p < math.inf for p in parts):
+        raise DomainError("all epsilons must be positive and finite")
     return float(sum(parts))
 
 

@@ -7,8 +7,10 @@ variable out completely, i.e. by dropping it from the statistic key.
 Tabulation counts integer category codes into a row-major numpy cube with
 one axis per sorted breakdown id; a marginal sums the dropped axes.
 
-Everything here is immutable after construction; tabulation is a pure
-function and safe to use from concurrent tasks.
+Everything here is immutable after construction.  A :class:`Microdata`
+memoises its category codes; two tasks encoding the same column at once
+compute equal arrays, so a race only repeats work, and tabulation is safe to
+use from concurrent tasks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import itertools
 import json
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +85,7 @@ class StatisticKey:
                 f"cell {self.cell!r} does not match breakdowns {sorted(self.breakdown_ids)}"
             )
 
-    @property
+    @cached_property
     def sorted_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.breakdown_ids))
 
@@ -196,12 +199,19 @@ def enumerate_subtables(table: TableSpec) -> list[StatisticKey]:
 
 @dataclass(frozen=True)
 class Microdata:
-    """Person records; one categorical value per breakdown of the catalog."""
+    """Person records; one categorical value per breakdown of the catalog.
+
+    ``columns`` and ``records`` are stored as tuples, so the records cannot
+    change under the category codes that :func:`encode` memoises in ``codes``.
+    """
 
     columns: tuple[str, ...]
     records: tuple[tuple[str, ...], ...]
+    codes: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "records", tuple(map(tuple, self.records)))
         widths = list(map(len, self.records))
         if widths.count(len(self.columns)) != len(widths):
             i = next(i for i, width in enumerate(widths) if width != len(self.columns))
@@ -243,19 +253,26 @@ def read_microdata(path, programme: TableProgramme | None = None) -> Microdata:
 
 
 def encode(programme: TableProgramme, data: Microdata, ids: Iterable[str]) -> dict[str, np.ndarray]:
-    """Position of every value of the columns ``ids`` among its breakdown's categories."""
-    columns = list(zip(*data.records)) or [()] * len(data.columns)
-    codes = {}
-    for bid in ids:
+    """Position of every value of the columns ``ids`` among its breakdown's categories.
+
+    The read-only code arrays are memoised on ``data.codes`` by breakdown id
+    and category order, so each column is encoded once per ordering.
+    """
+    keys = {bid: (bid, programme.breakdown(bid).categories) for bid in ids}
+    missing = [bid for bid, key in keys.items() if key not in data.codes]
+    columns = (list(zip(*data.records)) or [()] * len(data.columns)) if missing else []
+    for bid in missing:
         column, index = columns[data.column_index(bid)], programme.category_index[bid]
         try:
-            codes[bid] = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
+            codes = np.fromiter(map(index.__getitem__, column), np.intp, len(column))
         except KeyError as exc:
             (value,) = exc.args
             raise ProgrammeError(
                 f"value {value!r} is not a category of breakdown {bid!r}", f"records[{column.index(value)}]"
             ) from None
-    return codes
+        codes.flags.writeable = False
+        data.codes[keys[bid]] = codes
+    return {bid: data.codes[key] for bid, key in keys.items()}
 
 
 def cube_index(

@@ -125,8 +125,10 @@ def test_tightest_delta_is_continuous_where_exp_overflows():
 
 
 def test_tightest_delta_rejects_bad_pmf():
-    with pytest.raises(DomainError):
-        tightest_delta({0: 0.5}, 1.0)
+    # a NaN mass must not pass the sum check, alone or beside masses summing to 1
+    for pmf in ({0: 0.5}, {0: math.nan, 1: 1.0}, {0: 0.5, 1: 0.5, 2: math.nan}):
+        with pytest.raises(DomainError):
+            tightest_delta(pmf, 1.0)
 
 
 def test_sensitivity_examples():
@@ -203,8 +205,9 @@ def test_sensitivity_matches_brute_force():
 
 def test_compose_additivity():
     assert compose([0.1] * 10) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        compose([0.1, -0.1])
+    for parts in ([0.1, -0.1], [math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(DomainError):
+            compose(parts)
 
 
 def test_halving_schedule():
@@ -281,3 +284,5 @@ def test_guarantee_and_budget_types():
     BudgetSplit(global_epsilon=1.0, parts=(0.5, 0.25, 0.25))
     with pytest.raises(DomainError):
         BudgetSplit(global_epsilon=1.0, parts=(0.5, 0.6))
+    with pytest.raises(DomainError):
+        BudgetSplit(global_epsilon=math.nan, parts=(math.nan,))

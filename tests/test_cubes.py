@@ -40,6 +40,7 @@ from sdcnoise.tables import (
     enumerate_subtables,
     marginal,
     parse_programme,
+    read_microdata,
     tabulate,
 )
 
@@ -112,6 +113,11 @@ def test_release_exact_and_cell_key_noise_match_scalar_reference(case, seed):
     spec = CellKey(variance=1.0, bound=2)
     ptable = spec.ptable()
     output = perturb_outputs(programme, data, spec, seed, spsn=True)
+    # the codes are memoised on the microdata: a second release reads them back
+    codes = encode(programme, data, programme.breakdowns)
+    assert perturb_outputs(programme, data, spec, seed, spsn=True) == output
+    for bid, array in encode(programme, data, programme.breakdowns).items():
+        assert array is codes[bid] and not array.flags.writeable
     record_keys = np.random.default_rng(seed).integers(0, 2**64, size=data.n, dtype=np.uint64)
     for ids, exact in output.exact.items():
         key = StatisticKey(ids)
@@ -178,13 +184,56 @@ def test_averaging_estimates_match_per_cell_irr_means(case, spec, spsn, seed):
                 assert run_averaging_attack(programme, output, target, optimize).disclosed[0]["estimate"] == mean
 
 
+SEX_AGE = parse_programme(
+    {
+        "breakdowns": [{"id": "SEX", "categories": ["F", "M"]}, {"id": "AGE", "categories": ["young", "old"]}],
+        "tables": [{"id": "T", "breakdowns": ["SEX", "AGE"]}],
+    }
+)
+
+
 def test_tabulate_unknown_category_is_a_programme_error():
-    programme = parse_programme(
-        {"breakdowns": [{"id": "SEX", "categories": ["F", "M"]}], "tables": [{"id": "T", "breakdowns": ["SEX"]}]}
-    )
-    data = Microdata(columns=("SEX",), records=(("F",), ("X",)))
-    with pytest.raises(ProgrammeError, match="'X' is not a category of breakdown 'SEX'"):
-        tabulate(programme, data, StatisticKey(frozenset({"SEX"})))
+    data = Microdata(columns=("SEX", "AGE"), records=(("F", "young"), ("X", "old")))
+    message = r"'X' is not a category of breakdown 'SEX' \(at records\[1\]\)"
+    for _ in range(2):  # only successful encodings are memoised, so every call raises
+        with pytest.raises(ProgrammeError, match=message):
+            tabulate(SEX_AGE, data, StatisticKey(frozenset({"SEX"})))
+        with pytest.raises(ProgrammeError, match=message):
+            perturb_outputs(SEX_AGE, data, None, 0)
+    assert list(data.codes) == [("AGE", ("young", "old"))]
+
+
+def test_codes_are_memoised_per_category_order():
+    def programme(categories):
+        return parse_programme(
+            {"breakdowns": [{"id": "SEX", "categories": categories}], "tables": [{"id": "T", "breakdowns": ["SEX"]}]}
+        )
+
+    forward, backward = programme(["F", "M"]), programme(["M", "F"])
+    data = Microdata(columns=("SEX",), records=(("F",), ("M",), ("M",)))
+    key = StatisticKey(frozenset({"SEX"}))
+    first = encode(forward, data, ["SEX"])["SEX"]
+    assert list(tabulate(forward, data, key).items()) == [(("F",), 1), (("M",), 2)]
+    assert list(tabulate(backward, data, key).items()) == [(("M",), 2), (("F",), 1)]
+    assert encode(backward, data, ["SEX"])["SEX"].tolist() == [1, 0, 0]
+    assert encode(forward, data, ["SEX"])["SEX"] is first
+
+
+def test_read_then_release_encodes_each_column_once(tmp_path, monkeypatch):
+    path = tmp_path / "micro.csv"
+    path.write_text("SEX,AGE\nF,young\nM,old\nM,young\n", encoding="utf-8")
+    encoded, fromiter = [], np.fromiter
+
+    def counting_fromiter(iterable, dtype, count):
+        encoded.append(count)
+        return fromiter(iterable, dtype, count)
+
+    monkeypatch.setattr(np, "fromiter", counting_fromiter)
+    data = read_microdata(path, SEX_AGE)
+    assert encoded == [3, 3]
+    perturb_outputs(SEX_AGE, data, CellKey(variance=1.0, bound=2), 3)
+    tabulate(SEX_AGE, data, StatisticKey(frozenset({"AGE"})))
+    assert encoded == [3, 3]
 
 
 # --- seeded releases against the record-by-record implementation -------------

@@ -198,6 +198,26 @@ def test_marginal_consistency_randomized():
                 assert summed == direct
 
 
+def test_microdata_keeps_its_own_records(sex_age):
+    columns, records = ["SEX", "AGE"], [["F", "young"], ["M", "old"]]
+    data = Microdata(columns=columns, records=records)
+    key = StatisticKey(frozenset({"SEX"}))
+    assert tabulate(sex_age, data, key) == {("F",): 1, ("M",): 1}
+    records.append(["F", "old"])
+    records[1][0] = "F"
+    columns.reverse()
+    assert data.columns == ("SEX", "AGE")
+    assert data.records == (("F", "young"), ("M", "old"))
+    assert tabulate(sex_age, data, key) == {("F",): 1, ("M",): 1}
+
+
+def test_statistic_key_sorts_its_ids_once():
+    key = StatisticKey(frozenset({"SEX", "AGE"}), ("young", "F"))
+    assert key.sorted_ids == ("AGE", "SEX") and key.sorted_ids is key.sorted_ids
+    twin = StatisticKey(frozenset({"AGE", "SEX"}), ("young", "F"))
+    assert key == twin and hash(key) == hash(twin) and key.label() == twin.label() == "AGE*SEX"
+
+
 def test_neighbor_add_remove():
     data = Microdata(columns=("SEX",), records=())
     grown = neighbor(data, "add", ("F",))
