@@ -13,6 +13,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from .errors import DomainError
+from .noise import check_epsilon
 from .tables import StatisticKey, TableProgramme
 from .utility import dp_utility_eps
 
@@ -140,8 +141,7 @@ def compose(parts: Sequence[float]) -> float:
 
 def halving_schedule(global_epsilon: float, i: int) -> float:
     """Budget eps/2^i of the i-th call under the iterative halving schedule (0 once it underflows)."""
-    if not 0 < global_epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {global_epsilon}")
+    check_epsilon(global_epsilon)
     if i < 1:
         raise DomainError(f"call index must be >= 1, got {i}")
     return math.ldexp(global_epsilon, -i)
@@ -158,15 +158,15 @@ def eps_alpha_n(n: int, alpha: float) -> float:
 
 def noise_scale_for_global(global_epsilon: float, t: float) -> float:
     """Per-count Laplace noise scale sqrt(2)*t/eps under an even eps/t split."""
-    if not (0 < global_epsilon < math.inf and t > 0):
-        raise DomainError("epsilon must be positive and finite, output complexity positive")
+    check_epsilon(global_epsilon)
+    if not t > 0:
+        raise DomainError(f"output complexity must be positive, got {t}")
     return math.sqrt(2.0) * t / global_epsilon
 
 
 def us_table_budget(global_epsilon: float, rounded: bool = True) -> float:
     """Per-table budget: 67.5% of a 1/6 geography share, i.e. 0.1125*eps exactly,
     or the working approximation 0.10*eps when ``rounded``."""
-    if not 0 < global_epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {global_epsilon}")
+    check_epsilon(global_epsilon)
     share = 0.10 if rounded else 0.675 / 6.0
     return share * global_epsilon

@@ -313,9 +313,8 @@ def averaging_estimates(
     answers for the programme it was released from.
     """
     if (ids, optimize) not in output.estimates:
-        statistic = StatisticKey(ids)
-        irrs = enumerate_irrs(programme, statistic, spsn=output.spsn)
-        stats = optimize_kt2(irrs, statistic) if optimize else count_k_t(irrs, statistic)
+        irrs = enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)
+        stats = optimize_kt2(irrs) if optimize else count_k_t(irrs)
         sums = []
         for irr in stats.irrs:
             source = sorted(ids | irr.summed_out)

@@ -7,6 +7,9 @@ maximum entropy: under the constraints of normalization, zero mean and fixed
 variance the solution is the symmetric family p_j proportional to
 exp(-lambda * j^2), with lambda found by bisection (lambda = 0 is the uniform
 limit V = E(E+1)/3).
+
+The parameter rules live here: :func:`check_epsilon` for a positive epsilon, the
+geometric law's smallest epsilon, and :func:`gen_ptable` for (V, E).
 """
 
 from __future__ import annotations
@@ -22,10 +25,24 @@ _FRAC_BITS = 64
 _FRAC_ONE = 1 << _FRAC_BITS
 
 
-def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
-    """Variance 2*(delta/epsilon)^2 of Laplace noise calibrated to sensitivity."""
+def check_epsilon(epsilon: float) -> float:
+    """``epsilon`` if 0 < epsilon < inf, else DomainError (NaN included): the one positive-epsilon check."""
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    return epsilon
+
+
+def _geometric_ratio(epsilon: float) -> float:
+    """q = e^-eps of the geometric law, after checking that 1 - q does not round to 0."""
+    q = math.exp(-check_epsilon(epsilon))
+    if q == 1.0:
+        raise DomainError(f"epsilon {epsilon} is too small for the geometric law: 1 - e^-eps rounds to 0")
+    return q
+
+
+def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
+    """Variance 2*(delta/epsilon)^2 of Laplace noise calibrated to sensitivity."""
+    check_epsilon(epsilon)
     if delta_sens < 1:
         raise DomainError(f"sensitivity must be >= 1, got {delta_sens}")
     try:
@@ -39,9 +56,7 @@ def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
 
 def geometric2_pmf(x, epsilon: float):
     """Two-tailed geometric pmf on the integers, (1-q)/(1+q) * q^|x| with q=e^-eps."""
-    if not 0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
-    q = math.exp(-epsilon)
+    q = _geometric_ratio(epsilon)
     return (1.0 - q) / (1.0 + q) * np.exp(-epsilon * np.abs(x))
 
 
@@ -105,22 +120,19 @@ def _variance_for_lambda(lam: float, bound: int) -> float:
     return float(np.sum(j**2 * w) / np.sum(w))
 
 
-def _check_variance(variance: float, bound: int) -> float:
-    """The uniform maximum E(E+1)/3, after checking 0 < V <= it (NaN fails)."""
+def gen_ptable(variance: float, bound: int) -> PTable:
+    """Maximum-entropy lookup table with mean 0, variance ``variance``, bound ``bound``.
+
+    The one (V, E) feasibility test: InfeasibleError unless 0 < V <= E(E+1)/3
+    (NaN fails), checked before the bound, which must then be positive.
+    """
     vmax = uniform_max_variance(bound)
     if not 0 < variance <= vmax + 1e-12:
         raise InfeasibleError(
-            f"variance {variance} is not positive or exceeds the uniform maximum "
-            f"E(E+1)/3 = {vmax}"
+            f"variance {variance} is not positive or exceeds the uniform maximum E(E+1)/3 = {vmax}"
         )
-    return vmax
-
-
-def gen_ptable(variance: float, bound: int) -> PTable:
-    """Maximum-entropy lookup table with mean 0, variance ``variance``, bound ``bound``."""
     if bound < 1:
         raise DomainError(f"bound must be a positive integer, got {bound}")
-    vmax = _check_variance(variance, bound)
     j = np.arange(-bound, bound + 1)
     if abs(variance - vmax) <= 1e-12:
         lam = 0.0
@@ -196,17 +208,13 @@ class Laplace:
     def __post_init__(self):
         laplace_variance(self.epsilon)  # validates
 
-    def variance(self) -> float:
-        return laplace_variance(self.epsilon)
-
 
 @dataclass(frozen=True)
 class TwoTailedGeometric:
     epsilon: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _geometric_ratio(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -215,22 +223,24 @@ class TruncatedLaplace:
     bound: int
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise DomainError(f"epsilon must be positive and finite, got {self.epsilon}")
+        _geometric_ratio(self.epsilon)
         if self.bound < 1:
             raise DomainError(f"bound must be a positive integer, got {self.bound}")
 
 
 @dataclass(frozen=True)
 class CellKey:
+    """Lookup-table noise; its p-table is built once, when the spec is made."""
+
     variance: float
     bound: int
+    _ptable: PTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        _check_variance(self.variance, self.bound)
+        object.__setattr__(self, "_ptable", gen_ptable(self.variance, self.bound))
 
     def ptable(self) -> PTable:
-        return gen_ptable(self.variance, self.bound)
+        return self._ptable
 
 
 NoiseSpec = Laplace | TwoTailedGeometric | TruncatedLaplace | CellKey
@@ -238,7 +248,7 @@ NoiseSpec = Laplace | TwoTailedGeometric | TruncatedLaplace | CellKey
 
 def _sample_geometric2(rng: np.random.Generator, epsilon: float, count: int) -> np.ndarray:
     # difference of two iid geometric(1 - e^-eps) variables (shifted to start at 0)
-    p = 1.0 - math.exp(-epsilon)
+    p = 1.0 - _geometric_ratio(epsilon)
     return (rng.geometric(p, size=count) - rng.geometric(p, size=count)).astype(np.int64)
 
 

@@ -37,9 +37,8 @@ class IRR:
 
 @dataclass(frozen=True)
 class IRRStats:
-    """Aggregate (t, k) counts for one target statistic."""
+    """Aggregate (t, k) counts over a list of IRRs."""
 
-    target: StatisticKey
     t: int
     k: int
     irrs: tuple[IRR, ...]
@@ -87,20 +86,14 @@ def enumerate_irrs(
     return irrs
 
 
-def count_k_t(irrs: Sequence[IRR], target: StatisticKey | None = None) -> IRRStats:
+def count_k_t(irrs: Sequence[IRR]) -> IRRStats:
     """Plain (t, k) aggregation over a list of IRRs."""
     if not irrs:
         raise DomainError("cannot aggregate an empty IRR list")
-    target = target if target is not None else StatisticKey(frozenset())
-    return IRRStats(
-        target=target,
-        t=len(irrs),
-        k=sum(i.k_weight for i in irrs),
-        irrs=tuple(irrs),
-    )
+    return IRRStats(t=len(irrs), k=sum(i.k_weight for i in irrs), irrs=tuple(irrs))
 
 
-def optimize_kt2(irrs: Sequence[IRR], target: StatisticKey | None = None) -> IRRStats:
+def optimize_kt2(irrs: Sequence[IRR]) -> IRRStats:
     """Greedy subset minimizing k/t^2: admit IRRs by ascending weight while the
     aggregate ratio strictly decreases; the first increase stops the scan."""
     if not irrs:
@@ -116,7 +109,7 @@ def optimize_kt2(irrs: Sequence[IRR], target: StatisticKey | None = None) -> IRR
             break
         admitted.append(irr)
         k, t, ratio = nk, nt, nratio
-    return count_k_t(admitted, target)
+    return count_k_t(admitted)
 
 
 def statistic_universe(programme: TableProgramme) -> list[StatisticKey]:
@@ -153,11 +146,7 @@ def rank_statistics(
     stats = []
     for key in statistic_universe(programme):
         irrs = enumerate_irrs(programme, key, spsn=spsn, geo_cardinalities=geo_cardinalities)
-        stats.append(
-            RankedStatistic(
-                target=key, raw=count_k_t(irrs, key), optimized=optimize_kt2(irrs, key)
-            )
-        )
+        stats.append(RankedStatistic(target=key, raw=count_k_t(irrs), optimized=optimize_kt2(irrs)))
     if order == "t":
         stats.sort(key=lambda s: (-s.raw.t, s.raw.ratio, s.target.sorted_ids))
     else:

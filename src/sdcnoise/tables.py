@@ -237,8 +237,8 @@ def validate_microdata(programme: TableProgramme, data: Microdata) -> None:
     encode(programme, data, data.columns)
 
 
-def read_microdata(path, programme: TableProgramme | None = None) -> Microdata:
-    """Read microdata from CSV (header row mandatory, one column per breakdown)."""
+def read_microdata(path, programme: TableProgramme) -> Microdata:
+    """Read microdata from CSV (header row mandatory, one column per breakdown) and validate it."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             rows = [tuple(row) for row in csv.reader(fh) if row]
@@ -247,8 +247,7 @@ def read_microdata(path, programme: TableProgramme | None = None) -> Microdata:
     if not rows:
         raise ProgrammeError("microdata CSV is empty")
     data = Microdata(columns=rows[0], records=tuple(rows[1:]))
-    if programme is not None:
-        validate_microdata(programme, data)
+    validate_microdata(programme, data)
     return data
 
 

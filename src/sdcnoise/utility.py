@@ -19,7 +19,7 @@ import numpy as np
 
 from .attacks import averaging_success, p1_exact, tuples_needed
 from .errors import DomainError, InfeasibleError
-from .noise import NoiseSpec, gen_ptable, sample_noise, uniform_max_variance
+from .noise import NoiseSpec, check_epsilon, gen_ptable, sample_noise
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,7 @@ class CountHistogram:
 
 def tail_prob(epsilon: float, threshold: float) -> float:
     """Two-sided Laplace(1/eps) tail mass beyond magnitude ``threshold``: exp(-eps*E)."""
-    if not 0 < epsilon < math.inf:
-        raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
+    check_epsilon(epsilon)
     if not threshold >= 0:
         raise DomainError(f"threshold must be nonnegative, got {threshold}")
     return math.exp(-epsilon * threshold)
@@ -123,14 +122,12 @@ def observations_histogram(
     areas: Sequence[AreaRecord], edges: Sequence[float]
 ) -> CountHistogram:
     """Histogram over all single observations (f, m and t separately), zeros excluded."""
-    values = [v for a in areas for v in (a.f, a.m, a.t) if v > 0]
-    counts = [0] * (len(edges) - 1)
-    for v in values:
-        for i in range(len(counts)):
-            if edges[i] < v <= edges[i + 1]:
-                counts[i] += 1
-                break
-    return CountHistogram(bin_edges=tuple(edges), bin_counts=tuple(counts))
+    values = np.array([(a.f, a.m, a.t) for a in areas], dtype=np.int64).reshape(-1)
+    # searchsorted "left" finds the bin i with edges[i] < v <= edges[i + 1] at i + 1
+    bins = np.searchsorted(np.asarray(edges), values[values > 0], side="left") - 1
+    nbins = max(len(edges) - 1, 0)
+    counts = np.bincount(bins[(bins >= 0) & (bins < nbins)], minlength=nbins)
+    return CountHistogram(bin_edges=tuple(edges), bin_counts=tuple(counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -221,18 +218,13 @@ def scan_ve(
     grid = ConstraintGrid(columns=tuple(columns))
     for v in v_values:
         for e in e_values:
-            cell: dict = {"V": float(v), "E": int(e)}
-            if v > uniform_max_variance(e) + 1e-12:
-                cell["feasible"] = False
-                grid.cells.append(cell)
-                continue
-            cell["feasible"] = True
+            cell: dict = {"V": float(v), "E": int(e), "feasible": False}
             try:
                 ptable = gen_ptable(v, e)
             except InfeasibleError:
-                cell["feasible"] = False
                 grid.cells.append(cell)
                 continue
+            cell["feasible"] = True
             p1 = float(p1_exact(ptable.probabilities, e))
             m_required = tuples_needed(p1, alpha)
             # expm1/log1p keep tiny p1 from rounding the reveal probability to 0
@@ -279,8 +271,7 @@ def scan_eps(
     grid = ConstraintGrid(columns=tuple(columns))
     eps_min = dp_utility_eps(e_alpha, t_outputs, alpha)
     for eps in eps_values:
-        if not 0 < eps < math.inf:
-            raise DomainError(f"epsilon must be positive and finite, got {eps}")
+        check_epsilon(eps)
         square = eps**2
         variance = 2.0 / square if square else math.inf  # a tiny eps squares to a subnormal or 0
         if variance == math.inf:

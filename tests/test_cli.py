@@ -263,6 +263,9 @@ EXIT_PROBES = {
     "estimate-eps-inf": (["utility", "estimate", "--eps", "inf", "--re", "0.5"], 2),
     "sample-geometric-eps-inf": (["utility", "sample", "--mech", "geometric", "--eps", "inf",
                                   "--re", "0.5", "--seed", "1"], 2),
+    "sample-geometric-eps-tiny": (["utility", "sample", "--mech", "geometric", "--eps", "1e-17",
+                                   "--re", "0.5", "--seed", "1"], 2),
+    "delta-geometric-eps-tiny": (["account", "delta", "--dist", "geometric", "--eps", "1e-17"], 2),
     "scan-eps-variance-overflow": (["scan", "eps", "--eps-min", "1e-300", "--eps-max", "2e-300",
                                     "--eps-step", "1e-300", "--kt2", "0.1", "--t-lau", "68"], 2),
 }
@@ -282,6 +285,7 @@ def test_exit_contract(tmp_path, args, code):
     if code == 2:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 def test_scan_eps_keeps_tiny_grid_values():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdcnoise import noise
 from sdcnoise.errors import ProgrammeError
 from sdcnoise.noise import (
     CellKey,
@@ -175,7 +176,7 @@ def test_averaging_estimates_match_per_cell_irr_means(case, spec, spsn, seed):
             result = averaging_estimates(programme, output, ids, optimize)
             assert averaging_estimates(programme, output, ids, optimize) is result
             estimates, stats = result
-            want = aggregate(irrs, key)
+            want = aggregate(irrs)
             assert (stats.t, stats.k, stats.irrs) == (want.t, want.k, want.irrs)
             for cell, got in zip(programme.cells(key), estimates.ravel().tolist()):
                 target = StatisticKey(ids, cell)
@@ -289,3 +290,18 @@ def release_digest(output):
 def test_seeded_release_matches_recorded_digest(name, spsn):
     output = perturb_outputs(DESK, desk_data(), SPECS[name], 7, spsn=spsn)
     assert release_digest(output) == DIGESTS[(name, spsn)]
+
+
+def test_release_without_spsn_reads_the_one_cell_key_ptable(monkeypatch):
+    spec = CellKey(2.0, 5)
+    assert spec.ptable() is spec.ptable()
+    built, gen_ptable = [], noise.gen_ptable
+
+    def counting_gen_ptable(variance, bound):
+        built.append((variance, bound))
+        return gen_ptable(variance, bound)
+
+    monkeypatch.setattr(noise, "gen_ptable", counting_gen_ptable)
+    output = perturb_outputs(DESK, desk_data(), spec, 7, spsn=False)
+    assert built == []
+    assert release_digest(output) == DIGESTS[("cellkey", False)]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sdcnoise.accounting import halving_schedule, us_table_budget
 from sdcnoise.errors import DomainError, InfeasibleError
 from sdcnoise.noise import (
     CellKey,
@@ -22,6 +23,7 @@ from sdcnoise.noise import (
     sample_noise,
     uniform_max_variance,
 )
+from sdcnoise.utility import scan_eps, tail_prob
 
 
 def test_laplace_variance_examples():
@@ -117,6 +119,66 @@ def test_nan_parameters_are_rejected(make):
 def test_infinite_epsilon_is_rejected(make):
     with pytest.raises(DomainError, match="finite"):
         make(math.inf)
+
+
+EPSILON_SITES = {
+    "laplace_variance": laplace_variance,
+    "geometric2_pmf": lambda eps: geometric2_pmf(np.arange(-2, 3), eps),
+    "TwoTailedGeometric": lambda eps: TwoTailedGeometric(epsilon=eps),
+    "TruncatedLaplace": lambda eps: TruncatedLaplace(epsilon=eps, bound=3),
+    "tail_prob": lambda eps: tail_prob(eps, 1.0),
+    "scan_eps": lambda eps: scan_eps([0.5, eps], [0.1], 20.0, 68.0),
+    "halving_schedule": lambda eps: halving_schedule(eps, 3),
+    "us_table_budget": us_table_budget,
+}
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("site", EPSILON_SITES.values(), ids=EPSILON_SITES.keys())
+def test_every_epsilon_site_applies_the_one_rule(site, epsilon):
+    with pytest.raises(DomainError) as info:
+        site(epsilon)
+    assert str(info.value) == f"epsilon must be positive and finite, got {epsilon}"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda eps: geometric2_pmf(np.arange(-2, 3), eps),
+        lambda eps: TwoTailedGeometric(epsilon=eps),
+        lambda eps: TruncatedLaplace(epsilon=eps, bound=3),
+    ],
+    ids=["geometric2_pmf", "TwoTailedGeometric", "TruncatedLaplace"],
+)
+def test_geometric_law_rejects_epsilon_below_its_resolution(make):
+    # 1 - e^-eps rounds to 0 here: the pmf would be all zeros and numpy's sampler raises
+    with pytest.raises(DomainError, match="too small for the geometric law"):
+        make(1e-17)
+    make(1e-15)  # 1 - e^-eps is about 1.1e-15, still a valid law
+
+
+def test_smallest_geometric_epsilon_keeps_the_formula():
+    epsilon = 1e-15
+    q = math.exp(-epsilon)
+    assert geometric2_pmf(0, epsilon) == (1.0 - q) / (1.0 + q) > 0
+    p = 1.0 - q
+    rng = np.random.default_rng(4)
+    want = rng.geometric(p, size=5) - rng.geometric(p, size=5)
+    assert sample_noise(TwoTailedGeometric(epsilon), 4, 5).tolist() == want.tolist()
+
+
+def test_cell_key_ptable_is_hidden_from_equality_and_repr():
+    spec = CellKey(variance=2.0, bound=5)
+    assert np.array_equal(spec.ptable().probabilities, gen_ptable(2.0, 5).probabilities)
+    assert spec == CellKey(variance=2.0, bound=5) and hash(spec) == hash(CellKey(2.0, 5))
+    assert repr(spec) == "CellKey(variance=2.0, bound=5)"
+
+
+def test_ptable_checks_the_variance_before_the_bound():
+    with pytest.raises(InfeasibleError, match="uniform maximum"):
+        gen_ptable(1.0, 0)
+    with pytest.raises(DomainError, match="bound must be a positive integer"):
+        gen_ptable(0.5, -2)  # E(E+1)/3 = 2/3 admits the variance; the bound then fails
 
 
 def test_ptable_variance_grid():

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sdcnoise import utility
 from sdcnoise.cli import _write_csv, _write_grid
-from sdcnoise.errors import DomainError
-from sdcnoise.noise import CellKey, Laplace, sample_noise
+from sdcnoise.errors import DomainError, InfeasibleError
+from sdcnoise.noise import CellKey, Laplace, gen_ptable, sample_noise
 from sdcnoise.utility import (
     AreaRecord,
     CountHistogram,
@@ -102,6 +104,31 @@ def test_observations_histogram_excludes_zeros():
     assert hist.bin_counts == (2,)  # m and t; the zero f is dropped
 
 
+def histogram_by_loop(areas, edges):
+    """The record-by-record reference: each positive value in its (edge[i], edge[i+1]] bin."""
+    counts = [0] * (len(edges) - 1)
+    for v in (v for a in areas for v in (a.f, a.m, a.t) if v > 0):
+        for i in range(len(counts)):
+            if edges[i] < v <= edges[i + 1]:
+                counts[i] += 1
+                break
+    return tuple(counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)), max_size=30),
+    st.lists(st.one_of(st.integers(-5, 700), st.floats(-5.0, 700.0)), min_size=1, max_size=12, unique=True),
+)
+def test_observations_histogram_matches_the_loop(splits, edges):
+    areas = [AreaRecord(area_id=f"A{i}", country="X", f=f, m=m, t=f + m) for i, (f, m) in enumerate(splits)]
+    edges = sorted(edges)
+    assume(all(a < b for a, b in zip(edges, edges[1:])))  # 1 and 1.0 are the same edge
+    hist = observations_histogram(areas, edges)
+    assert hist.bin_counts == histogram_by_loop(areas, edges)
+    assert all(type(c) is int for c in hist.bin_counts)
+
+
 def test_bounded_noise_cannot_exceed_re_on_large_counts():
     areas = [
         AreaRecord(area_id="A%d" % i, country="X", f=30 + i, m=30, t=60 + i)
@@ -182,6 +209,33 @@ def test_scan_ve_marks_infeasible():
     grid = scan_ve([5.0], [2, 3, 5], m_avail=100.0)
     feasible = {c["E"]: c["feasible"] for c in grid.cells}
     assert feasible == {2: False, 3: False, 5: True}
+
+
+@st.composite
+def variance_and_bound(draw):
+    bound = draw(st.integers(-3, 40))
+    vmax = bound * (bound + 1) / 3.0
+    edges = [0.0, -0.0, -1.0, math.nan, vmax - 1e-12, vmax, vmax + 1e-12, vmax + 2e-12]
+    return draw(st.one_of(st.sampled_from(edges), st.floats(-1.0, 600.0))), bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(variance_and_bound())
+def test_scan_ve_feasibility_is_gen_ptables(case):
+    variance, bound = case
+    try:
+        gen_ptable(variance, bound)
+    except InfeasibleError:
+        feasible = False
+    except DomainError as exc:  # a bound below 1 under a variance the rule admits
+        with pytest.raises(DomainError) as info:
+            scan_ve([variance], [bound], m_avail=1000.0)
+        assert str(info.value) == str(exc)
+        return
+    else:
+        feasible = True
+    (cell,) = scan_ve([variance], [bound], m_avail=1000.0).cells
+    assert cell["feasible"] is feasible
 
 
 def test_scan_ve_averaging_columns():
