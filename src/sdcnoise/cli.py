@@ -198,7 +198,7 @@ def _ptable_for(dist: str, bound: int, variance: float | None) -> noise.PTable:
 @click.option("--e", "bound", type=int, required=True)
 @click.option("--v", "variance", type=float, default=None)
 @click.option("--alpha", type=float, default=0.68, show_default=True)
-@click.option("--streams", type=int, default=0, help="Monte Carlo streams (0 = analytic only).")
+@click.option("--streams", type=click.IntRange(min=0), default=0, help="Monte Carlo streams (0 = analytic only).")
 @click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
@@ -415,10 +415,7 @@ def account_group():
 def cmd_delta(dist, bound, variance, eps, trunc, out):
     """Tightest delta of a finite noise pmf at a given epsilon."""
     if dist == "geometric":
-        support = np.arange(-trunc, trunc + 1)
-        probs = noise.geometric2_pmf(support, eps)
-        probs = probs / probs.sum()
-        pmf = {int(x): float(p) for x, p in zip(support, probs)}
+        pmf = noise.TruncatedLaplace(epsilon=eps, bound=trunc).ptable().as_pmf()
     else:
         if bound is None:
             raise click.UsageError("--e is required for bounded distributions")

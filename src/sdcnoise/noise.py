@@ -1,12 +1,13 @@
 """Noise distributions and the cell-key mechanism.
 
 Covers the continuous Laplace distribution, its discrete two-tailed geometric
-sibling, a bounded (rejection-truncated) variant, and lookup-table noise with
-prescribed variance V and hard bound E.  Lookup tables are generated by
-maximum entropy: under the constraints of normalization, zero mean and fixed
-variance the solution is the symmetric family p_j proportional to
-exp(-lambda * j^2), with lambda found by bisection (lambda = 0 is the uniform
-limit V = E(E+1)/3).
+sibling, and two bounded laws on {-E..E}: the geometric law truncated to the
+bound and renormalised, and lookup-table noise with prescribed variance V.
+Both bounded laws are p-tables, sampled by one inverse-CDF lookup.  Tables of
+prescribed variance are generated by maximum entropy: under the constraints
+of normalization, zero mean and fixed variance the solution is the symmetric
+family p_j proportional to exp(-lambda * j^2), with lambda found by bisection
+(lambda = 0 is the uniform limit V = E(E+1)/3).
 
 The parameter rules live here: :func:`check_epsilon` for a positive epsilon, the
 geometric law's smallest epsilon, and :func:`gen_ptable` for (V, E).
@@ -57,7 +58,8 @@ def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
 def geometric2_pmf(x, epsilon: float):
     """Two-tailed geometric pmf on the integers, (1-q)/(1+q) * q^|x| with q=e^-eps."""
     q = _geometric_ratio(epsilon)
-    return (1.0 - q) / (1.0 + q) * np.exp(-epsilon * np.abs(x))
+    with np.errstate(over="ignore"):  # a huge eps*|x| overflows to inf, and e^-inf = 0 is the mass
+        return (1.0 - q) / (1.0 + q) * np.exp(-epsilon * np.abs(x))
 
 
 def uniform_max_variance(bound: int) -> float:
@@ -83,11 +85,12 @@ class PTable:
             raise DomainError(
                 f"expected {2 * self.bound + 1} probabilities, got {p.shape}"
             )
-        if np.any(p < 0):
+        # positive forms, so that a NaN probability fails every check
+        if not np.all(p >= 0):
             raise DomainError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > 1e-12:
+        if not abs(p.sum() - 1.0) <= 1e-12:
             raise DomainError(f"probabilities sum to {p.sum()!r}, not 1")
-        if np.max(np.abs(p - p[::-1])) > 1e-12:
+        if not np.max(np.abs(p - p[::-1])) <= 1e-12:
             raise DomainError("probabilities must be symmetric around 0")
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "cumulative", np.cumsum(p))
@@ -103,12 +106,9 @@ class PTable:
         p = self.probabilities[self.probabilities > 0]
         return float(-np.sum(p * np.log(p)))
 
-    def quantile(self, u) -> np.ndarray | int:
-        """Smallest j with cumulative mass >= u."""
-        idx = np.searchsorted(self.cumulative, u, side="left")
-        idx = np.minimum(idx, 2 * self.bound)
-        result = idx - self.bound
-        return int(result) if np.isscalar(u) else result
+    def quantile(self, u) -> np.ndarray:
+        """Smallest j with cumulative mass >= u, elementwise."""
+        return np.minimum(np.searchsorted(self.cumulative, u, side="left"), 2 * self.bound) - self.bound
 
     def as_pmf(self) -> dict[int, float]:
         return {int(j): float(p) for j, p in zip(self.support, self.probabilities)}
@@ -219,13 +219,21 @@ class TwoTailedGeometric:
 
 @dataclass(frozen=True)
 class TruncatedLaplace:
+    """The two-tailed geometric law restricted to {-E..E} and renormalised; its p-table is built once."""
+
     epsilon: float
     bound: int
+    _ptable: PTable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _geometric_ratio(self.epsilon)
         if self.bound < 1:
             raise DomainError(f"bound must be a positive integer, got {self.bound}")
+        pmf = geometric2_pmf(np.arange(-self.bound, self.bound + 1), self.epsilon)
+        object.__setattr__(self, "_ptable", PTable(bound=self.bound, probabilities=pmf / pmf.sum()))
+
+    def ptable(self) -> PTable:
+        return self._ptable
 
 
 @dataclass(frozen=True)
@@ -261,16 +269,6 @@ def sample_noise(spec: NoiseSpec, seed, count: int) -> np.ndarray:
         return rng.laplace(0.0, 1.0 / spec.epsilon, size=count)
     if isinstance(spec, TwoTailedGeometric):
         return _sample_geometric2(rng, spec.epsilon, count)
-    if isinstance(spec, TruncatedLaplace):
-        out = np.empty(count, dtype=np.int64)
-        filled = 0
-        while filled < count:
-            draws = _sample_geometric2(rng, spec.epsilon, count - filled)
-            keep = draws[np.abs(draws) <= spec.bound]
-            out[filled : filled + keep.size] = keep
-            filled += keep.size
-        return out
-    if isinstance(spec, CellKey):
-        ptable = spec.ptable()
-        return np.asarray(ptable.quantile(rng.random(count)), dtype=np.int64)
+    if isinstance(spec, (TruncatedLaplace, CellKey)):
+        return spec.ptable().quantile(rng.random(count))
     raise DomainError(f"unknown noise spec {spec!r}")

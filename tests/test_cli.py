@@ -266,6 +266,11 @@ EXIT_PROBES = {
     "sample-geometric-eps-tiny": (["utility", "sample", "--mech", "geometric", "--eps", "1e-17",
                                    "--re", "0.5", "--seed", "1"], 2),
     "delta-geometric-eps-tiny": (["account", "delta", "--dist", "geometric", "--eps", "1e-17"], 2),
+    "delta-geometric-trunc-zero": (["account", "delta", "--dist", "geometric", "--eps", "0.5",
+                                    "--trunc", "0"], 2),
+    "delta-geometric-trunc-negative": (["account", "delta", "--dist", "geometric", "--eps", "0.5",
+                                        "--trunc", "-2"], 2),
+    "streams-negative": (["attack", "bound-disclosure", "--e", "2", "--streams", "-1"], 1),
     "scan-eps-variance-overflow": (["scan", "eps", "--eps-min", "1e-300", "--eps-max", "2e-300",
                                     "--eps-step", "1e-300", "--kt2", "0.1", "--t-lau", "68"], 2),
 }
@@ -356,6 +361,11 @@ STDOUT_PINS = [
      "9977aae346fef81d5471f45e306632df9297ac945acd4b07d5b0fe1c81c0b420"),
     (["utility", "sample", "--mech", "geometric", "--eps", "0.1", "--re", "0.5", "--seed", "3"],
      "e02cfc17a753fa9ac84c789984ee5a83f4e913a8fa054b1559512bbea33f0bb0"),
+    # recorded while the CLI still built the truncated geometric pmf itself
+    (["account", "delta", "--dist", "geometric", "--eps", "0.5", "--trunc", "5"],
+     "fcffc4058fe018f9ab410344408916eb79a17fbf4a8033e37b132e9548d38888"),
+    (["account", "delta", "--dist", "geometric", "--eps", "0.1"],
+     "b4eaba1861b6df67a4449f52dceac9f793a934600ec11b9cb0cee019e46cf02e"),
 ]
 
 

@@ -260,8 +260,10 @@ DIGESTS = {
     ("laplace", False): "967e551a0624719f35e76740b1f171cb1602a61d97fd0c42284c1a994abf87ad",
     ("geometric", True): "7c5dcdc02d914104f96900e6e9b63555942164659a87c83fc43eebe25af57ad0",
     ("geometric", False): "af472cf8bd8605f2c7c6669a440f2dda9a8085d3f9c9a4799f4214dab7680191",
-    ("truncated", True): "5feb14bb1ad5062fec90ccf904cca6553704bc4333a723e787ee291102290a16",
-    ("truncated", False): "57ef87a50386c3103c434afaf2db4a4cd12c74210d039d35aa058450ddefb3cb",
+    # re-recorded when TruncatedLaplace moved from rejection sampling of the
+    # geometric law to its p-table lookup: the same law, different draws
+    ("truncated", True): "bb95848a485b20f8e138b6c102677f359d8d0b4125df8929cd0668c3f859b1df",
+    ("truncated", False): "da0c853029fc6257e2f44053639f7e1d100cee6059f51ba745f4285f15702d6e",
 }
 
 

@@ -210,6 +210,12 @@ def test_ptable_validation():
         PTable(bound=1, probabilities=np.array([0.5, 0.2, 0.3]))
 
 
+@pytest.mark.parametrize("probabilities", [[math.nan] * 3, [0.2, math.nan, 0.2]], ids=["all-nan", "one-nan"])
+def test_ptable_rejects_nan_probabilities(probabilities):
+    with pytest.raises(DomainError):
+        PTable(bound=1, probabilities=np.array(probabilities))
+
+
 def test_quantile_covers_support():
     pt = gen_ptable(2.0, 5)
     assert pt.quantile(0.0) == -5
@@ -262,6 +268,36 @@ def test_truncated_laplace_bounded():
     draws = sample_noise(spec, 4, 10000)
     assert np.abs(draws).max() <= 7
     assert draws.dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-12, 50.0),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 500),
+)
+@example(1e-12, 40, 0, 10)  # stalled the rejection sampler
+@example(1e308, 5, 0, 10)  # -eps*|x| overflows to -inf: mass 0, and no warning
+def test_truncated_laplace_is_its_geometric_ptable(epsilon, bound, seed, count):
+    spec = TruncatedLaplace(epsilon=epsilon, bound=bound)
+    pmf = geometric2_pmf(np.arange(-bound, bound + 1), epsilon)
+    assert spec.ptable().probabilities.tolist() == (pmf / pmf.sum()).tolist()
+    want = spec.ptable().quantile(np.random.default_rng(seed).random(count))
+    assert sample_noise(spec, seed, count).tolist() == want.tolist()
+    assert spec == TruncatedLaplace(epsilon, bound)
+    assert repr(spec) == f"TruncatedLaplace(epsilon={epsilon!r}, bound={bound})"
+
+
+def test_truncated_laplace_draws_follow_the_truncated_geometric_law():
+    epsilon, bound, count = 0.5, 5, 200_000
+    pmf = geometric2_pmf(np.arange(-bound, bound + 1), epsilon)
+    pmf = pmf / pmf.sum()
+    draws = sample_noise(TruncatedLaplace(epsilon, bound), 8, count)
+    observed = np.bincount(draws + bound, minlength=2 * bound + 1)
+    assert observed.size == 2 * bound + 1
+    sigma = np.sqrt(count * pmf * (1 - pmf))
+    assert np.all(np.abs(observed - count * pmf) <= 4 * sigma)
 
 
 def test_laplace_sample_variance():
