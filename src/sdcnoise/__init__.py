@@ -29,10 +29,7 @@ from .noise import (
     uniform_max_variance,
 )
 from .accounting import (
-    BudgetSplit,
-    DPGuarantee,
     ReidRates,
-    compose,
     eps_alpha_n,
     halving_schedule,
     noise_scale_for_global,

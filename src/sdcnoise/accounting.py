@@ -19,32 +19,6 @@ from .utility import dp_utility_eps
 
 
 @dataclass(frozen=True)
-class DPGuarantee:
-    epsilon: float
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
-            raise DomainError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise DomainError(f"delta must lie in [0,1], got {self.delta}")
-
-
-@dataclass(frozen=True)
-class BudgetSplit:
-    global_epsilon: float
-    parts: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(p > 0 for p in self.parts):
-            raise DomainError("all budget parts must be positive")
-        if not abs(sum(self.parts) - self.global_epsilon) <= 1e-12:
-            raise DomainError(
-                f"parts sum to {sum(self.parts)}, not {self.global_epsilon}"
-            )
-
-
-@dataclass(frozen=True)
 class ReidRates:
     r_recon: float
     r_match: float
@@ -130,13 +104,6 @@ def sensitivity(
         )
         best = max(best, matched)
     return base + best
-
-
-def compose(parts: Sequence[float]) -> float:
-    """Sequential composition: budgets add up."""
-    if not all(0 < p < math.inf for p in parts):
-        raise DomainError("all epsilons must be positive and finite")
-    return float(sum(parts))
 
 
 def halving_schedule(global_epsilon: float, i: int) -> float:

@@ -123,6 +123,39 @@ def cli():
     """Disclosure-control noise analysis for static count outputs."""
 
 
+# The options each noise law reads: (required, optional).  ``ptable`` and ``ck`` name one law.
+_LAW_OPTIONS = {
+    "laplace": ({"--eps"}, set()),
+    "geometric": ({"--eps"}, {"--e"}),
+    "uniform": ({"--e"}, set()),
+    "ptable": ({"--v", "--e"}, set()),
+    "ck": ({"--v", "--e"}, set()),
+}
+
+
+def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | None) -> noise.NoiseSpec:
+    """The one place a law name and its options become a noise spec.
+
+    A missing option the law needs, or a given option it does not read, is a usage
+    error, so no output records a parameter that did not shape the noise.
+    """
+    required, optional = _LAW_OPTIONS[law]
+    for flag, value in (("--eps", eps), ("--v", variance), ("--e", bound)):
+        if value is None and flag in required:
+            raise click.UsageError(f"{flag} is required for the {law} law")
+        if value is not None and flag not in required | optional:
+            raise click.UsageError(f"{flag} is not read by the {law} law")
+    if law == "laplace":
+        return noise.Laplace(epsilon=eps)
+    if law == "geometric":
+        if bound is None:
+            return noise.TwoTailedGeometric(epsilon=eps)
+        return noise.TruncatedLaplace(epsilon=eps, bound=bound)
+    if law == "uniform":
+        variance = noise.uniform_max_variance(bound)
+    return noise.CellKey(variance=variance, bound=bound)
+
+
 @cli.command("ptable")
 @click.option("--v", "variance", type=float, required=True, help="Noise variance V.")
 @click.option("--e", "bound", type=int, required=True, help="Noise bound E.")
@@ -185,14 +218,6 @@ def attack_group():
     """Run one of the attack simulations."""
 
 
-def _ptable_for(dist: str, bound: int, variance: float | None) -> noise.PTable:
-    if dist == "uniform":
-        return noise.gen_ptable(noise.uniform_max_variance(bound), bound)
-    if variance is None:
-        raise click.UsageError("--v is required for --dist ptable")
-    return noise.gen_ptable(variance, bound)
-
-
 @attack_group.command("bound-disclosure")
 @click.option("--dist", type=click.Choice(["uniform", "ptable"]), default="uniform", show_default=True)
 @click.option("--e", "bound", type=int, required=True)
@@ -203,7 +228,7 @@ def _ptable_for(dist: str, bound: int, variance: float | None) -> noise.PTable:
 @click.option("--out", type=click.Path(), default=None)
 def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     """Probability and 3-tuple complexity of disclosing the noise bound."""
-    ptable = _ptable_for(dist, bound, variance)
+    ptable = _spec_for(dist, None, variance, bound).ptable()
     p1 = float(attacks.p1_exact(ptable.probabilities, bound))
     m = attacks.tuples_needed(p1, alpha)
     if streams > 0:
@@ -240,6 +265,8 @@ def cmd_margin(bound, input_path, out):
                 rows.append([int(v) for v in line.split(",")])
             except ValueError:
                 raise DomainError(f"tuple file line {number}: not integers: {line!r}") from None
+            if len(rows[-1]) < 2:
+                raise DomainError(f"tuple file line {number}: needs at least one internal count and a total")
     found = attacks.margin_exploit_scan(rows, bound)
     report = attacks.AttackReport(
         attack="MarginExploit",
@@ -308,18 +335,7 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
 def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, out):
     """Sample noise on area counts and tally distortions per threshold."""
     records = utility.read_areas_text(_read_input(areas, "synth_areas.csv"))
-    if mech == "laplace":
-        if eps is None:
-            raise click.UsageError("--eps is required for --mech laplace")
-        spec: noise.NoiseSpec = noise.Laplace(epsilon=eps)
-    elif mech == "geometric":
-        if eps is None:
-            raise click.UsageError("--eps is required for --mech geometric")
-        spec = noise.TwoTailedGeometric(epsilon=eps)
-    else:
-        if variance is None or bound is None:
-            raise click.UsageError("--v and --e are required for --mech ck")
-        spec = noise.CellKey(variance=variance, bound=bound)
+    spec = _spec_for(mech, eps, variance, bound)
     seed = _resolve_seed(seed)
     tallies = utility.sample_distortions(records, spec, seed, list(re_thresholds))
     _write_csv(
@@ -342,7 +358,10 @@ def scan_group():
 def _grid_range(lo: float, hi: float, step: float) -> list[float]:
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
         raise click.UsageError("need finite bounds and step, step > 0 and max >= min")
-    values = np.arange(lo, hi + step / 2, step)
+    try:
+        values = np.arange(lo, hi + step / 2, step)
+    except ValueError:  # more values than numpy can index
+        raise click.UsageError(f"a grid from {lo} to {hi} in steps of {step} is too large") from None
     return [float(f"{v:.12g}") for v in values]
 
 
@@ -407,21 +426,15 @@ def account_group():
 
 @account_group.command("delta")
 @click.option("--dist", type=click.Choice(["uniform", "geometric", "ptable"]), required=True)
-@click.option("--e", "bound", type=int, default=None)
+@click.option("--e", "bound", type=int, required=True)
 @click.option("--v", "variance", type=float, default=None)
 @click.option("--eps", type=float, required=True)
-@click.option("--trunc", type=int, default=50, show_default=True, help="Support cut for geometric.")
 @click.option("--out", type=click.Path(), default=None)
-def cmd_delta(dist, bound, variance, eps, trunc, out):
+def cmd_delta(dist, bound, variance, eps, out):
     """Tightest delta of a finite noise pmf at a given epsilon."""
-    if dist == "geometric":
-        pmf = noise.TruncatedLaplace(epsilon=eps, bound=trunc).ptable().as_pmf()
-    else:
-        if bound is None:
-            raise click.UsageError("--e is required for bounded distributions")
-        ptable = _ptable_for(dist, bound, variance)
-        pmf = ptable.as_pmf()
-    delta = accounting.tightest_delta(pmf, eps)
+    # --eps is the accounting epsilon; of these laws only the geometric one also reads it
+    spec = _spec_for(dist, eps if dist == "geometric" else None, variance, bound)
+    delta = accounting.tightest_delta(spec.ptable().as_pmf(), eps)
     _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)
 
 

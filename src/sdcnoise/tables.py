@@ -157,6 +157,8 @@ def parse_programme(document: str | Mapping) -> TableProgramme:
     for required in ("breakdowns", "tables"):
         if required not in document:
             raise ProgrammeError(f"missing top-level key {required!r}")
+        if not isinstance(document[required], list):
+            raise ProgrammeError(f"top-level key {required!r} must be a list")
     breakdowns = []
     for i, entry in enumerate(document["breakdowns"]):
         loc = f"breakdowns[{i}]"

@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from sdcnoise.accounting import (
-    BudgetSplit,
-    DPGuarantee,
-    compose,
     eps_alpha_n,
     halving_schedule,
     noise_scale_for_global,
@@ -203,13 +200,6 @@ def test_sensitivity_matches_brute_force():
         assert sensitivity(prog, query) == _brute_force_sensitivity(prog, data, query)
 
 
-def test_compose_additivity():
-    assert compose([0.1] * 10) == pytest.approx(1.0)
-    for parts in ([0.1, -0.1], [math.nan, 1.0], [math.inf, 1.0]):
-        with pytest.raises(DomainError):
-            compose(parts)
-
-
 def test_halving_schedule():
     assert halving_schedule(1.0, 10) == pytest.approx(1.0 / 1024.0)
     scale = math.sqrt(laplace_variance(halving_schedule(1.0, 10)))
@@ -275,14 +265,3 @@ def test_reid_rate():
         assert reid_rate(0.5, float(x)).r_reid == pytest.approx(0.5 * x)
     with pytest.raises(DomainError):
         reid_rate(1.5, 0.5)
-
-
-def test_guarantee_and_budget_types():
-    DPGuarantee(epsilon=1.0, delta=0.0)
-    with pytest.raises(DomainError):
-        DPGuarantee(epsilon=-1.0)
-    BudgetSplit(global_epsilon=1.0, parts=(0.5, 0.25, 0.25))
-    with pytest.raises(DomainError):
-        BudgetSplit(global_epsilon=1.0, parts=(0.5, 0.6))
-    with pytest.raises(DomainError):
-        BudgetSplit(global_epsilon=math.nan, parts=(math.nan,))

@@ -2,15 +2,21 @@ import csv
 import hashlib
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdcnoise
 from sdcnoise import __version__
 from sdcnoise.attacks import averaging_success, p1_exact, tuples_needed
-from sdcnoise.noise import gen_ptable, laplace_variance
+from sdcnoise.noise import TruncatedLaplace, gen_ptable, laplace_variance
+from sdcnoise.utility import read_areas_text, sample_distortions
 from sdcnoise.accounting import sensitivity, us_table_budget
 from sdcnoise.tables import StatisticKey, parse_programme
 
@@ -259,20 +265,25 @@ EXIT_PROBES = {
     "geo-override-unknown": (["analyze", "desk", "--geo-override", "FOO=3"], 2),
     "geo-override-zero": (["analyze", "desk", "--geo-override", "GEO.M=0"], 2),
     "delta-eps-inf": (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "inf"], 2),
-    "delta-geometric-eps-inf": (["account", "delta", "--dist", "geometric", "--eps", "inf"], 2),
+    "delta-geometric-eps-inf": (["account", "delta", "--dist", "geometric", "--eps", "inf", "--e", "50"], 2),
     "estimate-eps-inf": (["utility", "estimate", "--eps", "inf", "--re", "0.5"], 2),
     "sample-geometric-eps-inf": (["utility", "sample", "--mech", "geometric", "--eps", "inf",
                                   "--re", "0.5", "--seed", "1"], 2),
     "sample-geometric-eps-tiny": (["utility", "sample", "--mech", "geometric", "--eps", "1e-17",
                                    "--re", "0.5", "--seed", "1"], 2),
-    "delta-geometric-eps-tiny": (["account", "delta", "--dist", "geometric", "--eps", "1e-17"], 2),
+    "delta-geometric-eps-tiny": (["account", "delta", "--dist", "geometric", "--eps", "1e-17", "--e", "50"], 2),
     "delta-geometric-trunc-zero": (["account", "delta", "--dist", "geometric", "--eps", "0.5",
-                                    "--trunc", "0"], 2),
+                                    "--e", "0"], 2),
     "delta-geometric-trunc-negative": (["account", "delta", "--dist", "geometric", "--eps", "0.5",
-                                        "--trunc", "-2"], 2),
+                                        "--e", "-2"], 2),
     "streams-negative": (["attack", "bound-disclosure", "--e", "2", "--streams", "-1"], 1),
     "scan-eps-variance-overflow": (["scan", "eps", "--eps-min", "1e-300", "--eps-max", "2e-300",
                                     "--eps-step", "1e-300", "--kt2", "0.1", "--t-lau", "68"], 2),
+    # more grid values than numpy can index, so nothing is allocated
+    "scan-eps-grid-too-large": (["scan", "eps", "--eps-min", "0.1", "--eps-max", "1e300", "--eps-step", "1",
+                                 "--kt2", "0.1", "--t-lau", "68"], 1),
+    "programme-breakdowns-not-list": (["analyze", "{tmp}/breakdowns_int.json"], 2),
+    "programme-tables-null": (["analyze", "{tmp}/tables_null.json"], 2),
 }
 
 
@@ -283,6 +294,10 @@ def test_exit_contract(tmp_path, args, code):
     (tmp_path / "bad_areas.csv").write_text("area_id,country,f,m,t\nA,X,1,2,3\nB,X,x,2,3\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "bad_margin.csv").write_text("5,4,9\n1,a,3\n")
+    (tmp_path / "breakdowns_int.json").write_text(json.dumps({"breakdowns": 5, "tables": []}))
+    (tmp_path / "tables_null.json").write_text(
+        json.dumps({"breakdowns": [{"id": "SEX", "categories": ["F", "M"]}], "tables": None})
+    )
     proc = run_cli(*(a.format(tmp=tmp_path) for a in args), check=False)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -291,6 +306,52 @@ def test_exit_contract(tmp_path, args, code):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
+
+
+# Every law choice of every command: the command with its fixed options, the law
+# option and choice, the law options it needs, and a given option it does not read
+# (None where the command has no such option).
+LAW_VALUES = {"--eps": "0.5", "--v": "2", "--e": "5"}
+LAW_CHOICES = [
+    (["attack", "bound-disclosure", "--dist", "uniform"], ["--e"], "--v"),
+    (["attack", "bound-disclosure", "--dist", "ptable"], ["--v", "--e"], None),
+    (["account", "delta", "--dist", "uniform"], ["--eps", "--e"], "--v"),
+    (["account", "delta", "--dist", "geometric"], ["--eps", "--e"], "--v"),
+    (["account", "delta", "--dist", "ptable"], ["--eps", "--v", "--e"], None),
+    (["utility", "sample", "--re", "0.5", "--seed", "1", "--mech", "laplace"], ["--eps"], "--e"),
+    (["utility", "sample", "--re", "0.5", "--seed", "1", "--mech", "geometric"], ["--eps"], "--v"),
+    (["utility", "sample", "--re", "0.5", "--seed", "1", "--mech", "ck"], ["--v", "--e"], "--eps"),
+]
+
+
+@pytest.mark.parametrize("command, needs, unread", LAW_CHOICES, ids=[" ".join(c) for c, _, _ in LAW_CHOICES])
+def test_every_law_reads_exactly_its_options(command, needs, unread):
+    def run(flags):
+        return run_cli(*command, *(a for f in flags for a in (f, LAW_VALUES[f])), check=False)
+
+    valid = run(needs)
+    assert valid.returncode == 0, valid.stderr
+    for missing in needs:
+        proc = run([f for f in needs if f != missing])
+        assert proc.returncode == 1
+        assert missing in proc.stderr
+        assert "Traceback" not in proc.stderr
+    if unread is not None:
+        proc = run([*needs, unread])
+        assert proc.returncode == 1
+        assert f"{unread} is not read" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_geometric_with_a_bound_samples_the_truncated_law():
+    proc = run_cli("utility", "sample", "--mech", "geometric", "--eps", "0.1", "--e", "5",
+                   "--re", "0.2", "--re", "0.5", "--seed", "3")
+    records = read_areas_text(resources.files("sdcnoise.data").joinpath("synth_areas.csv").read_text())
+    tallies = sample_distortions(records, TruncatedLaplace(0.1, 5), 3, [0.2, 0.5])
+    assert [(r["re_threshold"], r["single"], r["broadband"], r["zero_hits"]) for r in _rows(proc.stdout)] == [
+        (repr(t.re_threshold), str(t.single), str(t.broadband), str(t.zero_hits)) for t in tallies
+    ]
+    assert "# E: 5" in proc.stdout
 
 
 def test_scan_eps_keeps_tiny_grid_values():
@@ -314,6 +375,10 @@ def test_bad_data_errors_name_their_line(tmp_path):
     margin = run_cli("attack", "margin", "--e", "2", "--input", str(tmp_path / "tuples.csv"), check=False)
     assert margin.returncode == 2
     assert margin.stderr.startswith("error: tuple file line 3: ")
+    (tmp_path / "short.csv").write_text("5,4,9\n# c\n7\n")
+    short = run_cli("attack", "margin", "--e", "2", "--input", str(tmp_path / "short.csv"), check=False)
+    assert short.returncode == 2
+    assert short.stderr.startswith("error: tuple file line 3: ")
 
 
 # SHA-256 of stdout for the README's example commands (without --out, with the
@@ -361,10 +426,11 @@ STDOUT_PINS = [
      "9977aae346fef81d5471f45e306632df9297ac945acd4b07d5b0fe1c81c0b420"),
     (["utility", "sample", "--mech", "geometric", "--eps", "0.1", "--re", "0.5", "--seed", "3"],
      "e02cfc17a753fa9ac84c789984ee5a83f4e913a8fa054b1559512bbea33f0bb0"),
-    # recorded while the CLI still built the truncated geometric pmf itself
-    (["account", "delta", "--dist", "geometric", "--eps", "0.5", "--trunc", "5"],
+    # recorded while the CLI still built the truncated geometric pmf itself, and cut
+    # its support with --trunc (default 50) in place of --e
+    (["account", "delta", "--dist", "geometric", "--eps", "0.5", "--e", "5"],
      "fcffc4058fe018f9ab410344408916eb79a17fbf4a8033e37b132e9548d38888"),
-    (["account", "delta", "--dist", "geometric", "--eps", "0.1"],
+    (["account", "delta", "--dist", "geometric", "--eps", "0.1", "--e", "50"],
      "b4eaba1861b6df67a4449f52dceac9f793a934600ec11b9cb0cee019e46cf02e"),
 ]
 
@@ -378,3 +444,20 @@ def test_stdout_is_byte_identical_to_recorded_digest(tmp_path, args, digest):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+def _readme_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("sdcnoise ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_cli_examples_run(tmp_path, line):
+    src = Path(sdcnoise.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    args = [a.replace("my_programme.json", "desk") for a in shlex.split(line)[1:]]
+    proc = subprocess.run([sys.executable, "-m", "sdcnoise", *args], capture_output=True, text=True,
+                          cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
