@@ -20,7 +20,7 @@ from .errors import DomainError
 from .noise import CellKey, NoiseSpec, PTable, sample_noise
 from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
 from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
-from .tables import cube_index, encode, marginal
+from .tables import encode, marginal, table_counts
 
 
 @dataclass
@@ -206,11 +206,13 @@ def averaging_mc(
     if k < t or t < 1 or trials < 1:
         raise DomainError("need k >= t >= 1 and positive trials")
     rng = np.random.default_rng(seed)
-    successes, chunk = 0, max(1, 2**16 // k)  # trials per draw matrix, about 2**16 draws
+    # trials per draw matrix, about 2**16 draws; a trial of more draws sums column blocks of 2**16
+    successes, chunk, block = 0, max(1, 2**16 // k), min(k, 2**16)
     for done in range(0, trials, chunk):
-        draws = ptable.quantile(rng.random((min(chunk, trials - done), k)))
+        blocks = (rng.random((min(chunk, trials - done), min(block, k - c))) for c in range(0, k, block))
         # the mean of the t sums is the total over t, however the k draws split
-        successes += int(np.count_nonzero(np.abs(draws.sum(axis=1) / t) < xi))
+        total = sum(ptable.quantile(u).sum(axis=1) for u in blocks)
+        successes += int(np.count_nonzero(np.abs(total / t) < xi))
     return AttackReport(
         attack="Averaging",
         probability=averaging_success(ptable.variance(), k, t, "Gaussian", xi),
@@ -234,7 +236,8 @@ class NoisyOutput:
     the table id slot is None because identical statistics share their noise.
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
     sorted ids whose axes the programme's ``category_index`` indexes, and
-    memoises into ``estimates``.
+    memoises into ``estimates`` each estimate cube by ``(ids, optimize)`` and
+    each IRR sum by ``(cube key, ids)``, shared by the plain and optimized attacks.
     ``exact`` keeps the pre-noise tabulations per unique statistic for harness bookkeeping only.
     """
 
@@ -267,35 +270,37 @@ def perturb_outputs(
     rng = np.random.default_rng(seed) if spec is not None else None  # exact releases ignore the seed
     cell_key = spsn and isinstance(spec, CellKey)
     record_keys = rng.integers(0, 2**64, size=data.n, dtype=np.uint64) if cell_key else None
-    codes = encode(programme, data, sorted({bid for table in programme.tables for bid in table.breakdowns}))
+    used = sorted({bid for table in programme.tables for bid in table.breakdowns})
+    encode(programme, data, used)  # every column in one pass over the records
     exact_cubes, key_cubes = {}, {}
     for table in programme.tables:
         ids = tuple(sorted(table.breakdowns))
-        flat, shape = cube_index(programme, codes, ids)
-        counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+        flat, counts = table_counts(programme, data, ids)
         if cell_key:
-            keys = np.zeros(shape, dtype=np.uint64)
+            keys = np.zeros(counts.shape, dtype=np.uint64)
             np.add.at(keys.reshape(-1), flat, record_keys)  # a view: keys is contiguous
         for stat in (sub.breakdown_ids for sub in enumerate_subtables(table)):
             if stat not in exact_cubes:
                 exact_cubes[stat] = marginal(counts, ids, stat)
                 key_cubes[stat] = marginal(keys, ids, stat) if cell_key else None
-    cells = {ids: programme.cells(StatisticKey(ids)) for ids in exact_cubes}
-    exact = {ids: dict(zip(cells[ids], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
+    for ids in exact_cubes.keys() - programme.plans.keys():  # cells and draw order, once per programme
+        cells = tuple(programme.cells(StatisticKey(ids)))
+        order = np.array(sorted(range(len(cells)), key=cells.__getitem__), dtype=np.intp)
+        inverse = np.argsort(order)
+        order.flags.writeable = inverse.flags.writeable = False
+        programme.plans[ids] = cells, order, inverse, tuple(map(cells.__getitem__, order))
+    exact = {ids: dict(zip(programme.plans[ids][0], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
     ptable = spec.ptable() if cell_key else None
-    tables, cubes, draw_orders = {}, {}, {}
+    tables, cubes = {}, {}
     for key in [(None, ids) for ids in exact_cubes] if spsn else programme.released:
         ids, cube = key[1], exact_cubes[key[1]]
+        cells, order, inverse, sorted_cells = programme.plans[ids]
         if spec is None:
             tables[key], cubes[key] = dict(exact[ids]), cube
         elif cell_key:
             cubes[key] = cube + ptable.quantile(key_cubes[ids] / 2.0**64)
-            tables[key] = dict(zip(cells[ids], cubes[key].ravel().tolist()))
+            tables[key] = dict(zip(cells, cubes[key].ravel().tolist()))
         else:
-            if ids not in draw_orders:
-                order = sorted(range(cube.size), key=cells[ids].__getitem__)
-                draw_orders[ids] = order, np.argsort(order), [cells[ids][i] for i in order]
-            order, inverse, sorted_cells = draw_orders[ids]
             values = cube.ravel()[order] + sample_noise(spec, rng.integers(0, 2**63), cube.size)
             tables[key] = dict(zip(sorted_cells, values.tolist()))
             cubes[key] = values[inverse].reshape(cube.shape)
@@ -309,19 +314,26 @@ def averaging_estimates(
 
     Each chosen IRR's noisy cube is summed over its ``summed_out`` axes and
     the sums are averaged into one cube over ``sorted(ids)``.  The result is
-    memoised on ``output.estimates`` by ``(ids, optimize)``: an output
-    answers for the programme it was released from.
+    memoised on ``output.estimates`` by ``(ids, optimize)`` and each IRR sum
+    by ``(cube key, ids)``: an output answers for the programme it was
+    released from.
     """
     if (ids, optimize) not in output.estimates:
-        irrs = enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)
-        stats = optimize_kt2(irrs) if optimize else count_k_t(irrs)
-        sums = []
-        for irr in stats.irrs:
-            source = sorted(ids | irr.summed_out)
-            axes = sorted(range(len(source)), key=lambda i: source[i] not in ids)
-            # summed-out axes last and contiguous: each cell sums as its own slice would
-            cube = np.ascontiguousarray(output.cubes[(irr.table_id, ids | irr.summed_out)].transpose(axes))
-            sums.append(cube.reshape(cube.shape[: len(ids)] + (-1,)).sum(axis=-1))
+        if (ids, output.spsn, optimize) not in programme.plans:  # the seed-free IRR plan, once per programme
+            irrs = enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)
+            stats = optimize_kt2(irrs) if optimize else count_k_t(irrs)
+            # per IRR its noisy cube's key, and axes that put the summed-out axes last and
+            # contiguous, so each cell sums as its own slice would
+            programme.plans[(ids, output.spsn, optimize)] = stats, tuple(
+                (key, tuple(np.argsort([bid not in ids for bid in sorted(key[1])], kind="stable").tolist()))
+                for key in ((irr.table_id, ids | irr.summed_out) for irr in stats.irrs)
+            )
+        stats, plan = programme.plans[(ids, output.spsn, optimize)]
+        for key, axes in plan:
+            if (key, ids) not in output.estimates:
+                cube = np.ascontiguousarray(output.cubes[key].transpose(axes))
+                output.estimates[(key, ids)] = cube.reshape(cube.shape[: len(ids)] + (-1,)).sum(axis=-1)
+        sums = [output.estimates[(key, ids)] for key, _ in plan]
         output.estimates[(ids, optimize)] = np.stack(sums, axis=-1).mean(axis=-1), stats
     return output.estimates[(ids, optimize)]
 

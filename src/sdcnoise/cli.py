@@ -381,13 +381,10 @@ def _write_grid(out: str | None, header: list[str], grid: utility.ConstraintGrid
 @click.option("--out", type=click.Path(), default=None)
 def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
     """Scan the bounded-noise (V, E) plane."""
-    grid = utility.scan_ve(
-        _grid_range(v_min, v_max, v_step),
-        list(range(e_min, e_max + 1)),
-        m_avail,
-        kt2=kt2,
-        alpha=alpha,
-    )
+    v_values = _grid_range(v_min, v_max, v_step)
+    if e_max < e_min:
+        raise click.UsageError(f"--e-max {e_max} is below --e-min {e_min}: the E range is empty")
+    grid = utility.scan_ve(v_values, list(range(e_min, e_max + 1)), m_avail, kt2=kt2, alpha=alpha)
     _write_grid(out, _header("scan ve", {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}), grid)
 
 

@@ -8,9 +8,10 @@ Tabulation counts integer category codes into a row-major numpy cube with
 one axis per sorted breakdown id; a marginal sums the dropped axes.
 
 Everything here is immutable after construction.  A :class:`Microdata`
-memoises its category codes; two tasks encoding the same column at once
-compute equal arrays, so a race only repeats work, and tabulation is safe to
-use from concurrent tasks.
+memoises its category codes and table cubes, a :class:`TableProgramme` its
+release plans; two tasks filling the same memo at once compute equal values,
+so a race only repeats work, and tabulation is safe to use from concurrent
+tasks.
 """
 
 from __future__ import annotations
@@ -99,6 +100,9 @@ class TableProgramme:
     Two facts are derived once: ``released``, every (table id, statistic ids)
     pair of a full release in table order and then :func:`enumerate_subtables`
     order, and ``category_index``, each breakdown's category-to-position map.
+    ``plans`` starts empty; the release pipeline memoises there, on first use,
+    what no seed changes: each statistic's cells and draw order, and the IRR
+    plan of each averaging attack.
     """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):
@@ -125,6 +129,7 @@ class TableProgramme:
         self.category_index: dict[str, dict[str, int]] = {
             bid: {c: i for i, c in enumerate(b.categories)} for bid, b in self.breakdowns.items()
         }
+        self.plans: dict = {}
 
     def breakdown(self, bid: str) -> Breakdown:
         try:
@@ -204,7 +209,8 @@ class Microdata:
     """Person records; one categorical value per breakdown of the catalog.
 
     ``columns`` and ``records`` are stored as tuples, so the records cannot
-    change under the category codes that :func:`encode` memoises in ``codes``.
+    change under the category codes and table cubes that :func:`encode` and
+    :func:`table_counts` memoise in ``codes``.
     """
 
     columns: tuple[str, ...]
@@ -284,6 +290,22 @@ def cube_index(
     return np.ravel_multi_index([codes[bid] for bid in ids], shape), shape
 
 
+def table_counts(
+    programme: TableProgramme, data: Microdata, ids: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat cube cell of every record and the count cube over the sorted non-empty ``ids``.
+
+    Both read-only arrays are memoised on ``data.codes`` by the ids and their category orders.
+    """
+    key = tuple((bid, programme.breakdown(bid).categories) for bid in ids)
+    if key not in data.codes:
+        flat, shape = cube_index(programme, encode(programme, data, ids), ids)
+        counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+        flat.flags.writeable = counts.flags.writeable = False
+        data.codes[key] = flat, counts
+    return data.codes[key]
+
+
 def marginal(cube: np.ndarray, ids: Sequence[str], keep: frozenset[str]) -> np.ndarray:
     """Sum the cube over ``ids`` down to the axes in ``keep``, kept in order; uint64 wraps."""
     axes = tuple(i for i, bid in enumerate(ids) if bid not in keep)
@@ -303,8 +325,7 @@ def tabulate(
     ids = key.sorted_ids
     if not ids:
         return {(): data.n}
-    flat, shape = cube_index(programme, encode(programme, data, ids), ids)
-    table = dict(zip(programme.cells(key), np.bincount(flat, minlength=math.prod(shape)).tolist()))
+    table = dict(zip(programme.cells(key), table_counts(programme, data, ids)[1].ravel().tolist()))
     if key.cell is not None:
         return {key.cell: table[key.cell]}
     return table

@@ -213,6 +213,25 @@ def test_averaging_mc_seeded_counts_are_pinned(k, t):
     assert (report.mc_trials, report.mc_successes) == (200, AVERAGING_MC_COUNTS[(k, t)])
 
 
+def test_averaging_mc_sums_a_large_k_in_blocks_of_the_same_draw_stream():
+    ptable, k, t, trials = gen_ptable(2.0, 10), 3 * 2**16 + 7, 100, 4
+    # unchunked reference: one (1, k) draw per trial from the same generator
+    rng = np.random.default_rng(9)
+    sums = [ptable.quantile(rng.random((1, k))).sum() for _ in range(trials)]
+    want = sum(abs(total / t) < 0.5 for total in sums)
+
+    class Recording(np.random.Generator):  # default_rng hands a Generator back as it is
+        def random(self, size=None, *args, **kwargs):
+            self.sizes.append(math.prod(size))
+            return super().random(size, *args, **kwargs)
+
+    recording = Recording(np.random.PCG64(9))  # the bit generator default_rng(9) builds
+    recording.sizes = []
+    report = averaging_mc(ptable, k, t, trials, recording)
+    assert (report.mc_trials, report.mc_successes) == (trials, want)
+    assert sum(recording.sizes) == k * trials and max(recording.sizes) <= 2**16
+
+
 def test_attack_report_validation():
     with pytest.raises(DomainError):
         AttackReport(attack="X", probability=1.5)

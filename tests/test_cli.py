@@ -242,6 +242,7 @@ EXIT_PROBES = {
     "bin-width-zero": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--bin-width", "0"], 1),
     "max-count-zero": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--max-count", "0"], 1),
     "scan-v-min-nan": (["scan", "ve", "--v-min", "nan", "--m-avail", "1000"], 1),
+    "scan-e-range-empty": (["scan", "ve", "--m-avail", "2.8e7", "--e-min", "5", "--e-max", "1"], 1),
     "scan-eps-step-inf": (["scan", "eps", "--eps-step", "inf", "--kt2", "0.1", "--t-lau", "68"], 1),
     "js-removed": (["ptable", "--v", "2", "--e", "5", "--js", "1"], 1),
     "areas-not-int": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sdcnoise import attacks as attacks_module
 from sdcnoise import noise
+from sdcnoise import tables as tables_module
 from sdcnoise.errors import ProgrammeError
 from sdcnoise.noise import (
     CellKey,
@@ -28,8 +30,8 @@ from sdcnoise.noise import (
     cell_key,
     cell_key_noise,
 )
-from sdcnoise.attacks import averaging_estimates, perturb_outputs, run_averaging_attack
-from sdcnoise.redundancy import count_k_t, enumerate_irrs, optimize_kt2
+from sdcnoise.attacks import NoisyOutput, averaging_estimates, perturb_outputs, run_averaging_attack
+from sdcnoise.redundancy import count_k_t, enumerate_irrs, optimize_kt2, statistic_universe
 from sdcnoise.tables import (
     Breakdown,
     Microdata,
@@ -307,3 +309,130 @@ def test_release_without_spsn_reads_the_one_cell_key_ptable(monkeypatch):
     output = perturb_outputs(DESK, desk_data(), spec, 7, spsn=False)
     assert built == []
     assert release_digest(output) == DIGESTS[("cellkey", False)]
+
+
+# --- seed-free memos on the programme, the microdata and the release ---------
+
+
+def fresh_copies(programme, data):
+    """The programme parsed again from its document and the microdata rebuilt: both with empty memos."""
+    document = {
+        "breakdowns": [{"id": b.id, "categories": list(b.categories)} for b in programme.breakdowns.values()],
+        "tables": [{"id": t.id, "breakdowns": list(t.breakdowns)} for t in programme.tables],
+    }
+    return parse_programme(document), Microdata(data.columns, data.records)
+
+
+def release_bytes(output):
+    """Everything a release holds, with each float and cube compared by its bytes."""
+    cubes = [(key, cube.dtype.str, cube.shape, cube.tobytes()) for key, cube in output.cubes.items()]
+    tables = [(key, [(cell, np.float64(value).tobytes()) for cell, value in table.items()])
+              for key, table in output.tables.items()]
+    return output.spsn, cubes, tables, [(ids, list(table.items())) for ids, table in output.exact.items()]
+
+
+def attack_bytes(programme, output, ids, optimize):
+    """Estimate cube, IRR stats and every cell's attack report of one statistic."""
+    estimates, stats = averaging_estimates(programme, output, ids, optimize)
+    reports = [
+        run_averaging_attack(programme, output, StatisticKey(ids, cell), optimize).to_json()
+        for cell in programme.cells(StatisticKey(ids))
+    ]
+    return estimates.tobytes(), stats, reports
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    programmes_with_data(),
+    st.lists(
+        st.tuples(
+            st.sampled_from([CellKey(variance=2.0, bound=3), Laplace(0.5)]),
+            st.booleans(),
+            st.integers(0, 2**32 - 1),
+            st.sampled_from([(False,), (True,), (False, True), (True, False)]),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+def test_memoised_releases_and_attacks_equal_fresh_ones(case, rounds):
+    programme, data = case
+    for spec, spsn, seed, attacks in rounds:
+        output = perturb_outputs(programme, data, spec, seed, spsn=spsn)
+        fresh_programme, fresh_data = fresh_copies(programme, data)
+        assert release_bytes(output) == release_bytes(perturb_outputs(fresh_programme, fresh_data, spec, seed, spsn))
+        for ids in output.exact:
+            key = StatisticKey(ids)
+            assert tabulate(programme, data, key) == tabulate(*fresh_copies(programme, data), key)
+        for optimize in attacks:  # the second attack of a round reads the first one's IRR sums
+            for ids in output.exact:
+                fresh_programme, fresh_data = fresh_copies(programme, data)
+                fresh = perturb_outputs(fresh_programme, fresh_data, spec, seed, spsn)
+                got = attack_bytes(programme, output, ids, optimize)
+                assert got == attack_bytes(fresh_programme, fresh, ids, optimize)
+        assert release_bytes(output) == release_bytes(perturb_outputs(*fresh_copies(programme, data), spec, seed, spsn))
+
+
+class CountingCubes(dict):
+    """Noisy cubes that count their reads: each IRR sum reads its source cube once."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("spec,spsn", [(CellKey(2.0, 5), True), (Laplace(0.5), False)])
+def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, spsn):
+    calls = {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(tables_module, "cube_index", counting("cube_index", tables_module.cube_index))
+    monkeypatch.setattr(np, "bincount", counting("bincount", np.bincount))
+    monkeypatch.setattr(attacks_module, "enumerate_irrs", counting("enumerate_irrs", attacks_module.enumerate_irrs))
+    programme, data = fresh_copies(DESK, desk_data())
+    stats = [key.breakdown_ids for key in statistic_universe(programme)]
+
+    def release_and_attack(seed):
+        output = perturb_outputs(programme, data, spec, seed, spsn=spsn)
+        output = NoisyOutput(output.spsn, output.tables, output.exact, CountingCubes(output.cubes))
+        for ids in stats:
+            averaging_estimates(programme, output, ids)
+        plain_reads, plain_sums = output.cubes.reads, dict(output.estimates)
+        for ids in stats:
+            averaging_estimates(programme, output, ids, optimize=True)
+        # the optimized attack reads no cube: every IRR it keeps was summed by the plain attack
+        assert output.cubes.reads == plain_reads
+        assert all(output.estimates[key] is value for key, value in plain_sums.items())
+        return output
+
+    release_and_attack(1)
+    assert calls["cube_index"] == calls["bincount"] == len(programme.tables)
+    assert calls["enumerate_irrs"] == 2 * len(stats)
+    calls.update(dict.fromkeys(calls, 0))
+    output = release_and_attack(2)
+    assert calls == {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0}
+    fresh_programme, fresh_data = fresh_copies(programme, data)
+    assert release_bytes(output) == release_bytes(perturb_outputs(fresh_programme, fresh_data, spec, 2, spsn=spsn))
+
+
+def test_memoised_arrays_are_read_only():
+    programme, data = fresh_copies(DESK, desk_data())
+    output = perturb_outputs(programme, data, Laplace(0.5), 3, spsn=False)
+    for ids in output.exact:
+        averaging_estimates(programme, output, ids)
+    tables = [value for key, value in data.codes.items() if isinstance(key[0], tuple)]
+    assert len(tables) == len(programme.tables)
+    plans = [value[1:3] for key, value in programme.plans.items() if isinstance(key, frozenset)]
+    assert len(plans) == len(output.exact)
+    for array in [array for pair in tables + plans for array in pair]:
+        assert isinstance(array, np.ndarray) and not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
