@@ -205,6 +205,7 @@ def averaging_mc(
     """Sampled success rate of averaging t noise sums totalling k draws."""
     if k < t or t < 1 or trials < 1:
         raise DomainError("need k >= t >= 1 and positive trials")
+    probability = averaging_success(ptable.variance(), k, t, "Gaussian", xi)  # rejects xi before any draw
     rng = np.random.default_rng(seed)
     # trials per draw matrix, about 2**16 draws; a trial of more draws sums column blocks of 2**16
     successes, chunk, block = 0, max(1, 2**16 // k), min(k, 2**16)
@@ -215,7 +216,7 @@ def averaging_mc(
         successes += int(np.count_nonzero(np.abs(total / t) < xi))
     return AttackReport(
         attack="Averaging",
-        probability=averaging_success(ptable.variance(), k, t, "Gaussian", xi),
+        probability=probability,
         mc_trials=trials,
         mc_successes=successes,
         seed=None if not isinstance(seed, int) else seed,
@@ -234,6 +235,7 @@ class NoisyOutput:
 
     ``tables`` maps (table id, statistic ids) to noisy cell values; with SPSN
     the table id slot is None because identical statistics share their noise.
+    Cells are listed in row-major cube order, the order independent draws fill.
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
     sorted ids whose axes the programme's ``category_index`` indexes, and
     memoises into ``estimates`` each estimate cube by ``(ids, optimize)`` and
@@ -260,8 +262,8 @@ def perturb_outputs(
     ``spec=None`` releases exact counts.  With SPSN and a CellKey spec the
     noise is the genuine lookup mechanism driven by per-record keys; with SPSN
     and other specs one draw is reused per unique (statistic, cell).  Without
-    SPSN every (table, statistic, cell) gets an independent draw, and the
-    draws go to the cells in ``sorted(cells)`` order.
+    SPSN every (table, statistic, cell) gets an independent draw.  Independent
+    draws fill each cube in row-major order, the :meth:`TableProgramme.cells` order.
 
     Each table's finest cube is counted once and every statistic is a
     marginal of the first table holding it.  Record keys are summed the same
@@ -283,27 +285,19 @@ def perturb_outputs(
             if stat not in exact_cubes:
                 exact_cubes[stat] = marginal(counts, ids, stat)
                 key_cubes[stat] = marginal(keys, ids, stat) if cell_key else None
-    for ids in exact_cubes.keys() - programme.plans.keys():  # cells and draw order, once per programme
-        cells = tuple(programme.cells(StatisticKey(ids)))
-        order = np.array(sorted(range(len(cells)), key=cells.__getitem__), dtype=np.intp)
-        inverse = np.argsort(order)
-        order.flags.writeable = inverse.flags.writeable = False
-        programme.plans[ids] = cells, order, inverse, tuple(map(cells.__getitem__, order))
-    exact = {ids: dict(zip(programme.plans[ids][0], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
-    ptable = spec.ptable() if cell_key else None
-    tables, cubes = {}, {}
+    for ids in exact_cubes.keys() - programme.plans.keys():  # cells, once per programme
+        programme.plans[ids] = tuple(programme.cells(StatisticKey(ids)))
+    cubes = {}
     for key in [(None, ids) for ids in exact_cubes] if spsn else programme.released:
-        ids, cube = key[1], exact_cubes[key[1]]
-        cells, order, inverse, sorted_cells = programme.plans[ids]
+        cube = exact_cubes[key[1]]
         if spec is None:
-            tables[key], cubes[key] = dict(exact[ids]), cube
+            cubes[key] = cube
         elif cell_key:
-            cubes[key] = cube + ptable.quantile(key_cubes[ids] / 2.0**64)
-            tables[key] = dict(zip(cells, cubes[key].ravel().tolist()))
+            cubes[key] = cube + spec.ptable().quantile(key_cubes[key[1]] / 2.0**64)
         else:
-            values = cube.ravel()[order] + sample_noise(spec, rng.integers(0, 2**63), cube.size)
-            tables[key] = dict(zip(sorted_cells, values.tolist()))
-            cubes[key] = values[inverse].reshape(cube.shape)
+            cubes[key] = cube + sample_noise(spec, rng.integers(0, 2**63), cube.size).reshape(cube.shape)
+    tables = {key: dict(zip(programme.plans[key[1]], cube.ravel().tolist())) for key, cube in cubes.items()}
+    exact = {ids: dict(zip(programme.plans[ids], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
     return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes)
 
 

@@ -11,6 +11,7 @@ sets; without it every (table, marginalization) pair counts.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -80,7 +81,11 @@ def enumerate_irrs(
         if ids <= stat and not (spsn and stat in seen):
             seen.add(stat)
             summed = stat - ids
-            irrs.append(IRR(summed, math.prod(sizes[bid] for bid in summed), None if spsn else table_id))
+            weight = math.prod(sizes[bid] for bid in summed)
+            if weight > sys.float_info.max:  # then every k/t^2 stays below the largest weight, a float
+                named = ", ".join(sorted(summed & (geo_cardinalities or {}).keys()))
+                raise DomainError(f"cardinality override {named} gives {target.label()} an IRR weight beyond floats")
+            irrs.append(IRR(summed, weight, None if spsn else table_id))
     if not irrs:
         raise DomainError(f"statistic {target.label()} is not contained in any table of the programme")
     return irrs

@@ -101,8 +101,8 @@ class TableProgramme:
     pair of a full release in table order and then :func:`enumerate_subtables`
     order, and ``category_index``, each breakdown's category-to-position map.
     ``plans`` starts empty; the release pipeline memoises there, on first use,
-    what no seed changes: each statistic's cells and draw order, and the IRR
-    plan of each averaging attack.
+    what no seed changes: each statistic's cells, in the row-major order that
+    independent draws fill, and the IRR plan of each averaging attack.
     """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):

@@ -149,10 +149,8 @@ def sample_distortions(
     """Perturb f, m, t independently and tally threshold exceedances."""
     if not re_thresholds:
         raise DomainError("need at least one relative-error threshold")
-    truth = np.array([[a.f, a.m, a.t] for a in areas], dtype=float)
-    noise = np.asarray(
-        sample_noise(spec, seed, truth.size), dtype=float
-    ).reshape(truth.shape)
+    truth = np.array([[a.f, a.m, a.t] for a in areas], dtype=float).reshape(-1, 3)
+    noise = np.asarray(sample_noise(spec, seed, truth.size) if areas else (), dtype=float).reshape(truth.shape)
     positive = truth > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(positive, np.abs(noise) / np.where(positive, truth, 1.0), 0.0)

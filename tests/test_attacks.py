@@ -213,6 +213,13 @@ def test_averaging_mc_seeded_counts_are_pinned(k, t):
     assert (report.mc_trials, report.mc_successes) == (200, AVERAGING_MC_COUNTS[(k, t)])
 
 
+def test_averaging_mc_rejects_xi_before_sampling(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("sampled before checking xi"))
+    for xi in (math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="xi positive"):
+            averaging_mc(gen_ptable(2.0, 10), 60000, 100, 2000, 1, xi=xi)
+
+
 def test_averaging_mc_sums_a_large_k_in_blocks_of_the_same_draw_stream():
     ptable, k, t, trials = gen_ptable(2.0, 10), 3 * 2**16 + 7, 100, 4
     # unchunked reference: one (1, k) draw per trial from the same generator
@@ -313,12 +320,15 @@ def test_averaging_attack_unknown_category_is_a_programme_error():
 DESK = parse_programme(resources.files("sdcnoise.data").joinpath("desk_programme.json").read_text())
 
 # SHA-256 over (t, k, estimate, recovered, true) of the averaging attack on
-# every desk cell, recorded with the attack that enumerated IRRs per cell
+# every desk cell, recorded with the attack that enumerated IRRs per cell.
+# The laplace entries were re-recorded when independent draws moved from
+# sorted(cells) label order to row-major cube order: the same law and draw
+# stream reassigned to cells, so the attacked release changed, not the attack.
 ATTACK_DIGESTS = {
     ("cellkey", False): "91931f95e27354f8bfba2d64e962bb0af11c43868f3abd7b47de3cc230d659fd",
     ("cellkey", True): "09b56216fe004ebd9e2e9b045da0337d26678ad2b5e407d05be7f0db4c2fb88e",
-    ("laplace", False): "2333342bac2fa0b7d3341a8416837347cb0760f9310eb4704c9919e241c7df44",
-    ("laplace", True): "d08c98b04c70c981105df3108e94a893fac5e297441ffc2fb08dd66145fb08a9",
+    ("laplace", False): "067fad8ab9161a4fa1bb1c73cbe7ff3ac009088c6d2967b7660235e5c538d992",
+    ("laplace", True): "77f99b544957ee77474c4a101e8c8153f3db7054af28fa937ceb07c0f165d2a2",
 }
 
 

@@ -285,6 +285,12 @@ EXIT_PROBES = {
                                  "--kt2", "0.1", "--t-lau", "68"], 1),
     "programme-breakdowns-not-list": (["analyze", "{tmp}/breakdowns_int.json"], 2),
     "programme-tables-null": (["analyze", "{tmp}/tables_null.json"], 2),
+    # an IRR weight of 10**401 has no float k/t^2
+    "geo-override-overflow": (["analyze", "desk", "--geo-override", "GEO.M=1" + "0" * 400], 2),
+    "averaging-xi-nan": (["attack", "averaging", "--v", "2", "--e", "10", "--k", "60", "--t", "10",
+                          "--trials", "20", "--seed", "1", "--xi", "nan"], 2),
+    "sample-areas-header-only": (["utility", "sample", "--mech", "laplace", "--eps", "0.1", "--re", "0.5",
+                                  "--seed", "1", "--areas", "{tmp}/header_only.csv"], 0),
 }
 
 
@@ -294,6 +300,7 @@ def test_exit_contract(tmp_path, args, code):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "bad_areas.csv").write_text("area_id,country,f,m,t\nA,X,1,2,3\nB,X,x,2,3\n")
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header_only.csv").write_text("area_id,country,f,m,t\n")
     (tmp_path / "bad_margin.csv").write_text("5,4,9\n1,a,3\n")
     (tmp_path / "breakdowns_int.json").write_text(json.dumps({"breakdowns": 5, "tables": []}))
     (tmp_path / "tables_null.json").write_text(
@@ -302,7 +309,10 @@ def test_exit_contract(tmp_path, args, code):
     proc = run_cli(*(a.format(tmp=tmp_path) for a in args), check=False)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.strip()
+    if code == 0:
+        assert proc.stdout and proc.stderr == ""
+    else:
+        assert proc.stderr.strip()
     if code == 2:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")

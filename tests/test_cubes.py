@@ -3,9 +3,13 @@
 The release pipeline counts each table once as a numpy cube and sums axes
 for its marginals; record keys are summed the same way as uint64 cubes.
 These properties pin both to the record-by-record definitions, and pin
-seeded releases to digests taken from the record-by-record implementation
-the cubes replaced.  The averaging attack's per-statistic estimate cubes are
-pinned bit for bit to the mean of per-cell IRR sums.
+seeded releases to recorded digests.  The exact and SPSN cell-key digests
+were taken from the record-by-record implementation the cubes replaced; the
+other noisy digests were re-recorded when independent draws moved from
+``sorted(cells)`` label order to row-major cube order, the same draw stream
+reassigned to cells, which one test here regenerates draw by draw.  The
+averaging attack's per-statistic estimate cubes are pinned bit for bit to
+the mean of per-cell IRR sums.
 """
 
 import hashlib
@@ -29,6 +33,7 @@ from sdcnoise.noise import (
     TwoTailedGeometric,
     cell_key,
     cell_key_noise,
+    sample_noise,
 )
 from sdcnoise.attacks import NoisyOutput, averaging_estimates, perturb_outputs, run_averaging_attack
 from sdcnoise.redundancy import count_k_t, enumerate_irrs, optimize_kt2, statistic_universe
@@ -251,21 +256,25 @@ SPECS = {
     "truncated": TruncatedLaplace(0.5, 5),
 }
 
-# SHA-256 of release_digest(perturb_outputs(DESK, desk_data(), spec, 7, spsn)),
-# recorded with the tabulation that scanned the records once per statistic
+# SHA-256 of release_digest(perturb_outputs(DESK, desk_data(), spec, 7, spsn)).
+# The exact and SPSN cell-key entries were recorded with the tabulation that
+# scanned the records once per statistic.  Every other entry was re-recorded
+# when independent draws moved from sorted(cells) label order to row-major
+# cube order: the same law and the same draw stream, reassigned to cells
+# (test_independent_draws_fill_cubes_in_row_major_order).  The truncated
+# entries had been re-recorded before, when TruncatedLaplace moved from
+# rejection sampling of the geometric law to its p-table lookup.
 DIGESTS = {
     ("none", True): "6976f2badc20125ca35f08622a4a4e088cfe7801147cb4bd32ee8d39a4b32ecc",
     ("none", False): "582b2915ef0d977d031019378e8ba9d80289db42e53d5558cb9bcdc10a30e4fc",
     ("cellkey", True): "066975a74f11436f9f77136c4f385aee974fe8e0866db122fb22b4b941944795",
-    ("cellkey", False): "2ab1246bbaa710f77d5aaffb227dff5bbfc9617566de85f99f3fdf31c8103ad6",
-    ("laplace", True): "93601ab728811638c8a884738bd5d5c56ef026debdae94cdda405cd7d08b68fa",
-    ("laplace", False): "967e551a0624719f35e76740b1f171cb1602a61d97fd0c42284c1a994abf87ad",
-    ("geometric", True): "7c5dcdc02d914104f96900e6e9b63555942164659a87c83fc43eebe25af57ad0",
-    ("geometric", False): "af472cf8bd8605f2c7c6669a440f2dda9a8085d3f9c9a4799f4214dab7680191",
-    # re-recorded when TruncatedLaplace moved from rejection sampling of the
-    # geometric law to its p-table lookup: the same law, different draws
-    ("truncated", True): "bb95848a485b20f8e138b6c102677f359d8d0b4125df8929cd0668c3f859b1df",
-    ("truncated", False): "da0c853029fc6257e2f44053639f7e1d100cee6059f51ba745f4285f15702d6e",
+    ("cellkey", False): "c65d10f493219c036b65d8234d8a5b4cb7662c5a93d43d717a3ebc99b1cab1b8",
+    ("laplace", True): "f0380bb8c6b3bc06800086d37a8bb6eb9ff7957f3b6e63eda87276f6b3d631f3",
+    ("laplace", False): "f55716a2c99d34fa29a51816019f482582afbb2efc20f251e0574a9587bf95e0",
+    ("geometric", True): "7ab451cf1e8f985271312829078446bf3bac34a4e391386b2850aa379bca67b4",
+    ("geometric", False): "b2cef7c7d103c6c507911599d8363b4a9b56572099efab584c0f4865c0afcb15",
+    ("truncated", True): "1f9121c8161fa1927f64dc5023a085cb2cad78f9a7718cdad37de91496d298af",
+    ("truncated", False): "0cc4c06a39a12c5381f453b5193b17d69247c77dc09e72dcfb7eda1fe02b61ca",
 }
 
 
@@ -294,6 +303,27 @@ def release_digest(output):
 def test_seeded_release_matches_recorded_digest(name, spsn):
     output = perturb_outputs(DESK, desk_data(), SPECS[name], 7, spsn=spsn)
     assert release_digest(output) == DIGESTS[(name, spsn)]
+
+
+# every release whose noise is an independent draw per released cell
+INDEPENDENT = sorted(key for key in DIGESTS if key[0] != "none" and key != ("cellkey", True))
+
+
+@pytest.mark.parametrize("name,spsn", INDEPENDENT)
+def test_independent_draws_fill_cubes_in_row_major_order(name, spsn):
+    """One seed per released cube in release order; its draws fill the cube in row-major order."""
+    spec, data = SPECS[name], desk_data()
+    output = perturb_outputs(DESK, data, spec, 7, spsn=spsn)
+    g = np.random.default_rng(7)
+    for (table_id, ids), table in output.tables.items():
+        cells = DESK.cells(StatisticKey(ids))
+        exact = np.asarray(list(tabulate(DESK, data, StatisticKey(ids)).values()))
+        exact = exact.reshape(tuple(DESK.breakdown(bid).cardinality for bid in sorted(ids)))
+        want = exact + sample_noise(spec, g.integers(0, 2**63), exact.size).reshape(exact.shape)
+        got = output.cubes[(table_id, ids)]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert list(table) == cells
+        assert np.asarray(list(table.values()), dtype=float).tobytes() == want.astype(float).ravel().tobytes()
 
 
 def test_release_without_spsn_reads_the_one_cell_key_ptable(monkeypatch):
@@ -430,9 +460,8 @@ def test_memoised_arrays_are_read_only():
         averaging_estimates(programme, output, ids)
     tables = [value for key, value in data.codes.items() if isinstance(key[0], tuple)]
     assert len(tables) == len(programme.tables)
-    plans = [value[1:3] for key, value in programme.plans.items() if isinstance(key, frozenset)]
-    assert len(plans) == len(output.exact)
-    for array in [array for pair in tables + plans for array in pair]:
+    assert all(programme.plans[ids] == tuple(programme.cells(StatisticKey(ids))) for ids in output.exact)
+    for array in [array for pair in tables for array in pair]:
         assert isinstance(array, np.ndarray) and not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0

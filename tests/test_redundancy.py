@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -176,6 +177,12 @@ def test_geo_overrides_are_validated():
     for size in (0, -2):
         with pytest.raises(DomainError, match="at least 1"):
             enumerate_irrs(SEX_AGE, StatisticKey(frozenset({"SEX", "AGE"})), geo_cardinalities={"AGE": size})
+    with pytest.raises(DomainError, match="override AGE gives total an IRR weight beyond floats"):
+        enumerate_irrs(SEX_AGE, TOTAL, geo_cardinalities={"AGE": 10**400})
+    # the largest weight that is a float still ranks
+    largest = int(sys.float_info.max)
+    stats = optimize_kt2(enumerate_irrs(SEX_AGE, StatisticKey(frozenset({"SEX"})), geo_cardinalities={"AGE": largest}))
+    assert (stats.t, stats.k, stats.ratio) == (1, 1, 1.0)
 
 
 def test_programme_lattice_and_category_index():

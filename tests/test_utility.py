@@ -150,6 +150,14 @@ def test_sample_matches_binned_estimate():
     assert tallies[0].single >= estimate - 3 * sigma
 
 
+def test_sample_without_areas_draws_nothing(monkeypatch):
+    monkeypatch.setattr(utility, "sample_noise", lambda *args: pytest.fail("drew noise for no areas"))
+    tallies = sample_distortions([], Laplace(epsilon=0.1), 1, [0.5, 2.0])
+    assert [dataclasses.astuple(t) for t in tallies] == [(0.5, 0, 0, 0), (2.0, 0, 0, 0)]
+    with pytest.raises(DomainError, match="must be positive"):
+        sample_distortions([], Laplace(epsilon=0.1), 1, [0.5, 0.0])
+
+
 def test_broadband_bounded_by_components():
     areas = synthetic_areas(2000, 6)
     tallies = sample_distortions(areas, Laplace(epsilon=0.05), 10, [0.3, 0.6])
