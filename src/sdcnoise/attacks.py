@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .noise import CellKey, NoiseSpec, PTable, sample_noise
+from .noise import CellKey, NoiseSpec, PTable, check_bound, sample_noise
 from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
 from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import encode, marginal, table_counts
@@ -135,8 +135,7 @@ def margin_exploit_scan(
     at +-E, so the true counts are recovered exactly: each internal shifted by
     -sign*E and the total by +sign*E.  Returns (index, recovered counts).
     """
-    if bound < 1:
-        raise DomainError(f"bound must be a positive integer, got {bound}")
+    check_bound(bound)
     disclosures = []
     for idx, row in enumerate(tuples):
         if len(row) < 2:
@@ -263,7 +262,8 @@ def perturb_outputs(
     noise is the genuine lookup mechanism driven by per-record keys; with SPSN
     and other specs one draw is reused per unique (statistic, cell).  Without
     SPSN every (table, statistic, cell) gets an independent draw.  Independent
-    draws fill each cube in row-major order, the :meth:`TableProgramme.cells` order.
+    draws come from one generator per release, seeded by ``seed``, and fill each
+    cube in turn in row-major order, the :meth:`TableProgramme.cells` order.
 
     Each table's finest cube is counted once and every statistic is a
     marginal of the first table holding it.  Record keys are summed the same
@@ -295,7 +295,7 @@ def perturb_outputs(
         elif cell_key:
             cubes[key] = cube + spec.ptable().quantile(key_cubes[key[1]] / 2.0**64)
         else:
-            cubes[key] = cube + sample_noise(spec, rng.integers(0, 2**63), cube.size).reshape(cube.shape)
+            cubes[key] = cube + sample_noise(spec, rng, cube.size).reshape(cube.shape)
     tables = {key: dict(zip(programme.plans[key[1]], cube.ravel().tolist())) for key, cube in cubes.items()}
     exact = {ids: dict(zip(programme.plans[ids], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
     return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes)

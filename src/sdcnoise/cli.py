@@ -59,6 +59,17 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
+# The most rows a command builds: grid cells, epsilon values, histogram bins or
+# simulated tuples, checked from the option values before anything is allocated.
+_MAX_ROWS = 10**6
+
+
+def _check_rows(rows: float, what: str) -> None:
+    """Usage error unless ``what`` has at most ``_MAX_ROWS`` rows."""
+    if not rows <= _MAX_ROWS:
+        raise click.UsageError(f"{what} has more than {_MAX_ROWS} rows")
+
+
 def _header(command: str, params: dict, seed: int | None = None) -> list[str]:
     lines = [f"sdcnoise {__version__}", f"command: {command}"]
     lines += [f"{k}: {v}" for k, v in params.items()]
@@ -232,8 +243,8 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     p1 = float(attacks.p1_exact(ptable.probabilities, bound))
     m = attacks.tuples_needed(p1, alpha)
     if streams > 0:
-        if m == float("inf"):
-            raise DomainError(f"p1 = {p1!r}: no stream length discloses the bound, nothing to simulate")
+        if not streams * m <= _MAX_ROWS:  # m = inf when p1 = 0
+            raise DomainError(f"p1 = {p1!r}, m = {m:.4g}: {streams} streams simulate more than {_MAX_ROWS} tuples")
         seed = _resolve_seed(seed)
         report = attacks.bound_disclosure_mc(ptable, int(m), streams, seed)
     else:
@@ -308,6 +319,7 @@ def utility_group():
 @click.option("--out", type=click.Path(), default=None)
 def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
     """Expected relative-error exceedances per count bin."""
+    _check_rows(-(-max_count // bin_width), f"a histogram up to {max_count} in bins of {bin_width}")
     records = utility.read_areas_text(_read_input(areas, "synth_areas.csv"))
     edges = list(range(0, max_count + bin_width, bin_width))
     hist = utility.observations_histogram(records, edges)
@@ -358,11 +370,9 @@ def scan_group():
 def _grid_range(lo: float, hi: float, step: float) -> list[float]:
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
         raise click.UsageError("need finite bounds and step, step > 0 and max >= min")
-    try:
-        values = np.arange(lo, hi + step / 2, step)
-    except ValueError:  # more values than numpy can index
-        raise click.UsageError(f"a grid from {lo} to {hi} in steps of {step} is too large") from None
-    return [float(f"{v:.12g}") for v in values]
+    # np.arange makes ceil of this many values; a span that overflows makes it inf
+    _check_rows((hi + step / 2 - lo) / step, f"a grid from {lo} to {hi} in steps of {step}")
+    return [float(f"{v:.12g}") for v in np.arange(lo, hi + step / 2, step)]
 
 
 def _write_grid(out: str | None, header: list[str], grid: utility.ConstraintGrid) -> None:
@@ -384,6 +394,7 @@ def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
     v_values = _grid_range(v_min, v_max, v_step)
     if e_max < e_min:
         raise click.UsageError(f"--e-max {e_max} is below --e-min {e_min}: the E range is empty")
+    _check_rows(len(v_values) * (e_max - e_min + 1), f"a {len(v_values)} by {e_max - e_min + 1} (V, E) grid")
     grid = utility.scan_ve(v_values, list(range(e_min, e_max + 1)), m_avail, kt2=kt2, alpha=alpha)
     _write_grid(out, _header("scan ve", {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}), grid)
 

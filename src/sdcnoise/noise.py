@@ -9,8 +9,9 @@ of normalization, zero mean and fixed variance the solution is the symmetric
 family p_j proportional to exp(-lambda * j^2), with lambda found by bisection
 (lambda = 0 is the uniform limit V = E(E+1)/3).
 
-The parameter rules live here: :func:`check_epsilon` for a positive epsilon, the
-geometric law's smallest epsilon, and :func:`gen_ptable` for (V, E).
+The parameter rules live here: :func:`check_epsilon` for a positive epsilon,
+:func:`check_bound` for a bound E, the geometric law's smallest epsilon, and
+:func:`gen_ptable` for (V, E).
 """
 
 from __future__ import annotations
@@ -31,6 +32,13 @@ def check_epsilon(epsilon: float) -> float:
     if not 0 < epsilon < math.inf:
         raise DomainError(f"epsilon must be positive and finite, got {epsilon}")
     return epsilon
+
+
+def check_bound(bound: int) -> int:
+    """``bound`` if 1 <= bound <= 10**6 (a table of 2*10**6 + 1 probabilities), else DomainError."""
+    if not 1 <= bound <= 10**6:
+        raise DomainError(f"bound must be a positive integer no larger than 10**6, got {bound}")
+    return bound
 
 
 def _geometric_ratio(epsilon: float) -> float:
@@ -131,8 +139,7 @@ def gen_ptable(variance: float, bound: int) -> PTable:
         raise InfeasibleError(
             f"variance {variance} is not positive or exceeds the uniform maximum E(E+1)/3 = {vmax}"
         )
-    if bound < 1:
-        raise DomainError(f"bound must be a positive integer, got {bound}")
+    check_bound(bound)
     j = np.arange(-bound, bound + 1)
     if abs(variance - vmax) <= 1e-12:
         lam = 0.0
@@ -227,8 +234,7 @@ class TruncatedLaplace:
 
     def __post_init__(self):
         _geometric_ratio(self.epsilon)
-        if self.bound < 1:
-            raise DomainError(f"bound must be a positive integer, got {self.bound}")
+        check_bound(self.bound)
         pmf = geometric2_pmf(np.arange(-self.bound, self.bound + 1), self.epsilon)
         object.__setattr__(self, "_ptable", PTable(bound=self.bound, probabilities=pmf / pmf.sum()))
 
@@ -261,7 +267,7 @@ def _sample_geometric2(rng: np.random.Generator, epsilon: float, count: int) -> 
 
 
 def sample_noise(spec: NoiseSpec, seed, count: int) -> np.ndarray:
-    """Reproducible noise draws; reals for Laplace, integers otherwise."""
+    """Reproducible draws, reals for Laplace; a Generator seed (one generator per release) is used as is."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .attacks import averaging_success, p1_exact, tuples_needed
 from .errors import DomainError, InfeasibleError
-from .noise import NoiseSpec, check_epsilon, gen_ptable, sample_noise
+from .noise import NoiseSpec, check_epsilon, gen_ptable, laplace_variance, sample_noise
 
 
 @dataclass(frozen=True)
@@ -269,11 +269,7 @@ def scan_eps(
     grid = ConstraintGrid(columns=tuple(columns))
     eps_min = dp_utility_eps(e_alpha, t_outputs, alpha)
     for eps in eps_values:
-        check_epsilon(eps)
-        square = eps**2
-        variance = 2.0 / square if square else math.inf  # a tiny eps squares to a subnormal or 0
-        if variance == math.inf:
-            raise DomainError(f"variance 2/eps^2 overflows at eps = {eps}")
+        variance = laplace_variance(eps)
         cell: dict = {"eps": float(eps), "V": variance}
         safes = []
         for i, kt2 in enumerate(kt2_sorted):

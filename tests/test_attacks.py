@@ -322,13 +322,14 @@ DESK = parse_programme(resources.files("sdcnoise.data").joinpath("desk_programme
 # SHA-256 over (t, k, estimate, recovered, true) of the averaging attack on
 # every desk cell, recorded with the attack that enumerated IRRs per cell.
 # The laplace entries were re-recorded when independent draws moved from
-# sorted(cells) label order to row-major cube order: the same law and draw
-# stream reassigned to cells, so the attacked release changed, not the attack.
+# sorted(cells) label order to row-major cube order, and again when a release
+# drew every cube from its one generator instead of a fresh generator per cube:
+# each time the attacked release changed, not the attack.
 ATTACK_DIGESTS = {
     ("cellkey", False): "91931f95e27354f8bfba2d64e962bb0af11c43868f3abd7b47de3cc230d659fd",
     ("cellkey", True): "09b56216fe004ebd9e2e9b045da0337d26678ad2b5e407d05be7f0db4c2fb88e",
-    ("laplace", False): "067fad8ab9161a4fa1bb1c73cbe7ff3ac009088c6d2967b7660235e5c538d992",
-    ("laplace", True): "77f99b544957ee77474c4a101e8c8153f3db7054af28fa937ceb07c0f165d2a2",
+    ("laplace", False): "b35e4fb31fb5b3132eda3071d6ea6e9b1cef762e6ed6905f16fb5add8de2e0f8",
+    ("laplace", True): "af9aa473aa1641a43082cd8d5a5382ccb69b632c57d261ae1a01bdb2265f0ea3",
 }
 
 

@@ -21,11 +21,18 @@ from sdcnoise.accounting import sensitivity, us_table_budget
 from sdcnoise.tables import StatisticKey, parse_programme
 
 
+def child_env():
+    """The environment for a ``python -m sdcnoise`` child: the tested package's ``src`` first on PYTHONPATH."""
+    src = Path(sdcnoise.__file__).parents[1]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args, check=True):
     proc = subprocess.run(
         [sys.executable, "-m", "sdcnoise", *args],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     if check:
         assert proc.returncode == 0, proc.stderr
@@ -280,7 +287,7 @@ EXIT_PROBES = {
     "streams-negative": (["attack", "bound-disclosure", "--e", "2", "--streams", "-1"], 1),
     "scan-eps-variance-overflow": (["scan", "eps", "--eps-min", "1e-300", "--eps-max", "2e-300",
                                     "--eps-step", "1e-300", "--kt2", "0.1", "--t-lau", "68"], 2),
-    # more grid values than numpy can index, so nothing is allocated
+    # about 10**300 grid values: over the 10**6-row limit, refused before any value is made
     "scan-eps-grid-too-large": (["scan", "eps", "--eps-min", "0.1", "--eps-max", "1e300", "--eps-step", "1",
                                  "--kt2", "0.1", "--t-lau", "68"], 1),
     "programme-breakdowns-not-list": (["analyze", "{tmp}/breakdowns_int.json"], 2),
@@ -291,6 +298,34 @@ EXIT_PROBES = {
                           "--trials", "20", "--seed", "1", "--xi", "nan"], 2),
     "sample-areas-header-only": (["utility", "sample", "--mech", "laplace", "--eps", "0.1", "--re", "0.5",
                                   "--seed", "1", "--areas", "{tmp}/header_only.csv"], 0),
+    # a command builds at most 10**6 rows (grid cells, eps values, histogram bins, simulated
+    # tuples), checked from the options: a grid or histogram over it is a usage error ...
+    "scan-eps-step-tiny": (["scan", "eps", "--kt2", "0.1", "--t-lau", "68", "--eps-step", "1e-15"], 1),
+    "scan-e-max-huge": (["scan", "ve", "--m-avail", "1", "--e-max", "1" + "0" * 20], 1),
+    "scan-ve-v-step-tiny": (["scan", "ve", "--m-avail", "1", "--v-step", "0.000001"], 1),
+    "scan-ve-product": (["scan", "ve", "--m-avail", "1", "--v-step", "0.00005"], 1),  # 110 001 V by 12 E
+    "estimate-max-count-huge": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",
+                                "--max-count", "1" + "0" * 20], 1),
+    # ... and a bound-disclosure simulation of more than 10**6 tuples (streams * m) a domain error
+    "bound-disclosure-e6-streams": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "6",
+                                     "--streams", "10", "--seed", "1"], 2),
+    "bound-disclosure-e8-streams": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "8",
+                                     "--streams", "10", "--seed", "1"], 2),
+    "bound-disclosure-e12-streams": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "12",
+                                      "--streams", "10", "--seed", "1"], 2),
+    "bound-disclosure-e20-streams": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "20",
+                                      "--streams", "10", "--seed", "1"], 2),
+    "bound-disclosure-streams-huge": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2",
+                                       "--streams", "100000000000"], 2),
+    "bound-disclosure-e6-analytic": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "6",
+                                      "--streams", "0"], 0),
+    # every noise bound is at most 10**6, so no table of more than 2 * 10**6 + 1 values is built
+    "ptable-e-huge": (["ptable", "--v", "2", "--e", "100000000"], 2),
+    "bound-disclosure-e-huge": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "100000000"], 2),
+    "delta-geometric-e-huge": (["account", "delta", "--dist", "geometric", "--eps", "1", "--e", "100000000"], 2),
+    "sample-ck-e-huge": (["utility", "sample", "--mech", "ck", "--v", "2", "--e", "100000000",
+                         "--re", "0.5", "--seed", "1"], 2),
+    "margin-e-huge": (["attack", "margin", "--e", "100000000"], 2),
 }
 
 
@@ -417,8 +452,10 @@ STDOUT_PINS = [
      "8abcdc24e8e513bf7ad83653f41f1f0b432f1d3dfc9f40f2ff9d9147d501d29f"),
     (["scan", "ve", "--m-avail", "2.8e7", "--kt2", "0.1"],
      "ff5770e1eefef2dc7f0ca48c95989d9dc62c1c372954b1c0b4e5851bf9e1f7b5"),
+    # re-recorded when scan eps took V from laplace_variance, 2*(1/eps)^2, in place of
+    # its own 2/eps^2: V and the averaging alphas moved in the last bit on 56 of 96 rows
     (["scan", "eps", "--kt2", "0.0118", "--kt2", "0.112", "--e-alpha", "20", "--t-lau", "68"],
-     "de073782d0e0910a20b111a0a82b11350777f983af6fd79f51c923227ff7f551"),
+     "38111442e75a06cf9de39d979469fce12239968f8b53f30c26c3a4a3cab5a022"),
     (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "1.0"],
      "e055e5c3cb712ec7a2ab72f56925df58029d7d804c7e0294acf65789d2c95bde"),
     (["account", "sensitivity", "sex-age", "--query", "SEX", "--query", "total"],
@@ -452,6 +489,7 @@ def test_stdout_is_byte_identical_to_recorded_digest(tmp_path, args, digest):
     proc = subprocess.run(
         [sys.executable, "-m", "sdcnoise", *(a.format(tmp=tmp_path) for a in args)],
         capture_output=True,
+        env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
@@ -465,10 +503,8 @@ def _readme_commands():
 
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_cli_examples_run(tmp_path, line):
-    src = Path(sdcnoise.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     args = [a.replace("my_programme.json", "desk") for a in shlex.split(line)[1:]]
     proc = subprocess.run([sys.executable, "-m", "sdcnoise", *args], capture_output=True, text=True,
-                          cwd=tmp_path, env=env)
+                          cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -259,22 +259,23 @@ SPECS = {
 # SHA-256 of release_digest(perturb_outputs(DESK, desk_data(), spec, 7, spsn)).
 # The exact and SPSN cell-key entries were recorded with the tabulation that
 # scanned the records once per statistic.  Every other entry was re-recorded
-# when independent draws moved from sorted(cells) label order to row-major
-# cube order: the same law and the same draw stream, reassigned to cells
-# (test_independent_draws_fill_cubes_in_row_major_order).  The truncated
-# entries had been re-recorded before, when TruncatedLaplace moved from
-# rejection sampling of the geometric law to its p-table lookup.
+# when a release stopped seeding a fresh generator per cube and drew every
+# cube from its one generator: the same law and row-major fill, one seeding
+# layer less (test_independent_draws_fill_cubes_in_row_major_order).  Before
+# that they were re-recorded when independent draws moved from sorted(cells)
+# label order to row-major cube order, and the truncated entries when
+# TruncatedLaplace moved from rejection sampling to its p-table lookup.
 DIGESTS = {
     ("none", True): "6976f2badc20125ca35f08622a4a4e088cfe7801147cb4bd32ee8d39a4b32ecc",
     ("none", False): "582b2915ef0d977d031019378e8ba9d80289db42e53d5558cb9bcdc10a30e4fc",
     ("cellkey", True): "066975a74f11436f9f77136c4f385aee974fe8e0866db122fb22b4b941944795",
-    ("cellkey", False): "c65d10f493219c036b65d8234d8a5b4cb7662c5a93d43d717a3ebc99b1cab1b8",
-    ("laplace", True): "f0380bb8c6b3bc06800086d37a8bb6eb9ff7957f3b6e63eda87276f6b3d631f3",
-    ("laplace", False): "f55716a2c99d34fa29a51816019f482582afbb2efc20f251e0574a9587bf95e0",
-    ("geometric", True): "7ab451cf1e8f985271312829078446bf3bac34a4e391386b2850aa379bca67b4",
-    ("geometric", False): "b2cef7c7d103c6c507911599d8363b4a9b56572099efab584c0f4865c0afcb15",
-    ("truncated", True): "1f9121c8161fa1927f64dc5023a085cb2cad78f9a7718cdad37de91496d298af",
-    ("truncated", False): "0cc4c06a39a12c5381f453b5193b17d69247c77dc09e72dcfb7eda1fe02b61ca",
+    ("cellkey", False): "fd6d9b2e7691ce1da323051a54241d9026f345f1e33bbc6e7c8afbfb42ab1a7d",
+    ("laplace", True): "bca31dfe70e1572f3114c3a943fc5d77f07a965502ea65dcc0ddccc5138f3a71",
+    ("laplace", False): "072b93a4433b506f2f307677c64cf8be26867ed7413ce1f09ae073e3a4267e23",
+    ("geometric", True): "a514e9af9130bf786ce119debf356afc25f9ebbbb5863563e3e190b5aac92cd9",
+    ("geometric", False): "96881069fe54c65e87328728ea00799739dee09c03bf41d703066c5b50a9b3f3",
+    ("truncated", True): "ad0b5e2ca7f8fdc5abae89710efe24191501a926b42e87aa1efd6f4bd8872082",
+    ("truncated", False): "7ca3d325976a18f557925c41bc9bc6bf91e77f25c8e526bc0e2cb1579db896b7",
 }
 
 
@@ -311,7 +312,7 @@ INDEPENDENT = sorted(key for key in DIGESTS if key[0] != "none" and key != ("cel
 
 @pytest.mark.parametrize("name,spsn", INDEPENDENT)
 def test_independent_draws_fill_cubes_in_row_major_order(name, spsn):
-    """One seed per released cube in release order; its draws fill the cube in row-major order."""
+    """One generator per release feeds the released cubes in release order; each fills in row-major order."""
     spec, data = SPECS[name], desk_data()
     output = perturb_outputs(DESK, data, spec, 7, spsn=spsn)
     g = np.random.default_rng(7)
@@ -319,7 +320,7 @@ def test_independent_draws_fill_cubes_in_row_major_order(name, spsn):
         cells = DESK.cells(StatisticKey(ids))
         exact = np.asarray(list(tabulate(DESK, data, StatisticKey(ids)).values()))
         exact = exact.reshape(tuple(DESK.breakdown(bid).cardinality for bid in sorted(ids)))
-        want = exact + sample_noise(spec, g.integers(0, 2**63), exact.size).reshape(exact.shape)
+        want = exact + sample_noise(spec, g, exact.size).reshape(exact.shape)
         got = output.cubes[(table_id, ids)]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert list(table) == cells

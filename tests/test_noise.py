@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sdcnoise.accounting import halving_schedule, us_table_budget
+from sdcnoise.attacks import margin_exploit_scan
 from sdcnoise.errors import DomainError, InfeasibleError
 from sdcnoise.noise import (
     CellKey,
@@ -16,6 +17,7 @@ from sdcnoise.noise import (
     TwoTailedGeometric,
     cell_key,
     cell_key_noise,
+    check_bound,
     gen_ptable,
     geometric2_pmf,
     laplace_variance,
@@ -179,6 +181,18 @@ def test_ptable_checks_the_variance_before_the_bound():
         gen_ptable(1.0, 0)
     with pytest.raises(DomainError, match="bound must be a positive integer"):
         gen_ptable(0.5, -2)  # E(E+1)/3 = 2/3 admits the variance; the bound then fails
+
+
+def test_every_noise_bound_is_at_most_a_million():
+    assert check_bound(1) == 1 and check_bound(10**6) == 10**6
+    for bound in (0, 10**6 + 1):
+        with pytest.raises(DomainError, match="bound must be a positive integer no larger than 10\\*\\*6"):
+            check_bound(bound)
+    # each bounded site refuses the bound before it builds a table of 2E + 1 values
+    for build in (lambda: gen_ptable(2.0, 10**20), lambda: TruncatedLaplace(1.0, 10**20),
+                  lambda: margin_exploit_scan([[1, 1]], 10**20)):
+        with pytest.raises(DomainError, match="no larger than"):
+            build()
 
 
 def test_ptable_variance_grid():
