@@ -23,6 +23,11 @@ from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import encode, marginal, table_counts
 
 
+def _recorded_seed(seed) -> int | None:
+    """An integer seed, numpy's included, as the int a report records; any other seed as None."""
+    return int(seed) if isinstance(seed, (int, np.integer)) else None
+
+
 @dataclass
 class AttackReport:
     """Outcome of one attack run, JSON-serializable for the audit trail."""
@@ -118,7 +123,7 @@ def bound_disclosure_mc(ptable: PTable, m: int, streams: int, seed) -> AttackRep
         m_required=m,
         mc_trials=streams,
         mc_successes=int(revealed.sum()),
-        seed=None if not isinstance(seed, int) else seed,
+        seed=_recorded_seed(seed),
     )
 
 
@@ -170,7 +175,7 @@ def margin_exploit_mc(ptable: PTable, count: int, seed) -> AttackReport:
         disclosed=disclosed,
         mc_trials=count,
         mc_successes=len(found),
-        seed=None if not isinstance(seed, int) else seed,
+        seed=_recorded_seed(seed),
     )
 
 
@@ -218,7 +223,7 @@ def averaging_mc(
         probability=probability,
         mc_trials=trials,
         mc_successes=successes,
-        seed=None if not isinstance(seed, int) else seed,
+        seed=_recorded_seed(seed),
     )
 
 
@@ -239,6 +244,8 @@ class NoisyOutput:
     sorted ids whose axes the programme's ``category_index`` indexes, and
     memoises into ``estimates`` each estimate cube by ``(ids, optimize)`` and
     each IRR sum by ``(cube key, ids)``, shared by the plain and optimized attacks.
+    :func:`run_averaging_attack` adds one answer entry per statistic and mode,
+    by ``(ids, optimize, "answers")``, which every target cell of it reads.
     ``exact`` keeps the pre-noise tabulations per unique statistic for harness bookkeeping only.
     """
 
@@ -338,31 +345,38 @@ def run_averaging_attack(
     target: StatisticKey,
     optimize: bool = False,
 ) -> AttackReport:
-    """Average all redundant representations of one target cell and round."""
+    """Average all redundant representations of one target cell and round.
+
+    The first target of a statistic and mode stores its answer entry in
+    ``output.estimates``: the :func:`averaging_estimates` cube as a row-major
+    list, the exact table and the IRR (t, k).  Each cell's row-major position
+    and report label are memoised once per programme in ``programme.plans``.
+    A target cell then reads one position and one label and indexes the list.
+    """
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")
-    estimates, stats = averaging_estimates(programme, output, target.breakdown_ids, optimize)
+    ids = target.breakdown_ids
+    if (ids, optimize, "answers") not in output.estimates:
+        estimates, stats = averaging_estimates(programme, output, ids, optimize)
+        output.estimates[(ids, optimize, "answers")] = estimates.ravel().tolist(), output.exact[ids], stats.t, stats.k
+    if (ids, "labels") not in programme.plans:
+        prefix = target.label() + ":"
+        programme.plans[(ids, "labels")] = {
+            cell: (i, prefix + "/".join(cell)) for i, cell in enumerate(programme.cells(StatisticKey(ids)))
+        }
+    values, truths, t, k = output.estimates[(ids, optimize, "answers")]
     try:
-        index = tuple(programme.category_index[bid][value] for bid, value in zip(target.sorted_ids, target.cell))
+        position, label = programme.plans[(ids, "labels")][target.cell]
     except KeyError:
         programme.validate_key(target)  # names the value that is not a category
         raise
-    estimate = float(estimates[index])
-    recovered = int(round(estimate))
-    truth = output.exact[target.breakdown_ids][target.cell]
+    estimate = values[position]
+    recovered = round(estimate)
+    truth = int(truths[target.cell])
     return AttackReport(
         attack="Averaging",
         probability=None,
-        disclosed=[
-            {
-                "cell": target.label() + ":" + "/".join(target.cell),
-                "recovered": recovered,
-                "true": int(truth),
-                "estimate": estimate,
-                "t": stats.t,
-                "k": stats.k,
-            }
-        ],
+        disclosed=[{"cell": label, "recovered": recovered, "true": truth, "estimate": estimate, "t": t, "k": k}],
         mc_trials=1,
         mc_successes=int(recovered == truth),
     )

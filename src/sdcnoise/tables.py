@@ -102,7 +102,8 @@ class TableProgramme:
     order, and ``category_index``, each breakdown's category-to-position map.
     ``plans`` starts empty; the release pipeline memoises there, on first use,
     what no seed changes: each statistic's cells, in the row-major order that
-    independent draws fill, and the IRR plan of each averaging attack.
+    independent draws fill, the IRR plan of each averaging attack, and each
+    attacked statistic's map from cell to (row-major position, report label).
     """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):

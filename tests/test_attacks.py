@@ -213,6 +213,20 @@ def test_averaging_mc_seeded_counts_are_pinned(k, t):
     assert (report.mc_trials, report.mc_successes) == (200, AVERAGING_MC_COUNTS[(k, t)])
 
 
+@pytest.mark.parametrize("seed", [np.int64(5), np.uint32(5)])
+def test_mc_reports_record_a_numpy_integer_seed_as_an_int(seed):
+    ptable = gen_ptable(2.0, 3)
+    for run in (
+        lambda s: bound_disclosure_mc(ptable, 4, 20, s),
+        lambda s: margin_exploit_mc(ptable, 200, s),
+        lambda s: averaging_mc(ptable, 20, 4, 20, s),
+    ):
+        report = run(seed)
+        assert type(report.seed) is int and report.seed == 5
+        assert report.to_json() == run(5).to_json()  # the same draws as the Python int
+        assert run(np.random.default_rng(5)).seed is None
+
+
 def test_averaging_mc_rejects_xi_before_sampling(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("sampled before checking xi"))
     for xi in (math.nan, 0.0, -1.0):
@@ -312,9 +326,24 @@ def test_averaging_attack_requires_cell():
 
 
 def test_averaging_attack_unknown_category_is_a_programme_error():
-    output = perturb_outputs(SEX_AGE, _random_data(random.Random(1), SEX_AGE, 10), None, 0)
+    programme = TableProgramme(SEX_AGE.breakdowns.values(), SEX_AGE.tables)  # nothing memoised yet
+    output = perturb_outputs(programme, _random_data(random.Random(1), programme, 10), None, 0)
+    unknown = StatisticKey(frozenset({"SEX"}), ("X",))
     with pytest.raises(ProgrammeError, match="'X' is not a category of breakdown 'SEX'"):
-        run_averaging_attack(SEX_AGE, output, StatisticKey(frozenset({"SEX"}), ("X",)))
+        run_averaging_attack(programme, output, unknown)
+    # after a valid cell of the same statistic has filled the answer memos
+    assert run_averaging_attack(programme, output, StatisticKey(frozenset({"SEX"}), ("F",))).mc_successes == 1
+    with pytest.raises(ProgrammeError, match="'X' is not a category of breakdown 'SEX'"):
+        run_averaging_attack(programme, output, unknown)
+
+
+def test_averaging_reports_of_one_cell_share_no_entry():
+    output = perturb_outputs(SEX_AGE, _random_data(random.Random(2), SEX_AGE, 40), CellKey(2.0, 5), 4)
+    target = StatisticKey(frozenset({"SEX", "AGE"}), ("old", "F"))
+    first = run_averaging_attack(SEX_AGE, output, target)
+    want = first.to_json()
+    first.disclosed[0].update(cell="changed", recovered=-1, true=-1, estimate=-1.0, t=0, k=0)
+    assert run_averaging_attack(SEX_AGE, output, target).to_json() == want
 
 
 DESK = parse_programme(resources.files("sdcnoise.data").joinpath("desk_programme.json").read_text())

@@ -416,7 +416,7 @@ class CountingCubes(dict):
 
 @pytest.mark.parametrize("spec,spsn", [(CellKey(2.0, 5), True), (Laplace(0.5), False)])
 def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, spsn):
-    calls = {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0}
+    calls = {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0, "cells": 0, "averaging_estimates": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -428,6 +428,10 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
     monkeypatch.setattr(tables_module, "cube_index", counting("cube_index", tables_module.cube_index))
     monkeypatch.setattr(np, "bincount", counting("bincount", np.bincount))
     monkeypatch.setattr(attacks_module, "enumerate_irrs", counting("enumerate_irrs", attacks_module.enumerate_irrs))
+    monkeypatch.setattr(TableProgramme, "cells", counting("cells", TableProgramme.cells))
+    monkeypatch.setattr(
+        attacks_module, "averaging_estimates", counting("averaging_estimates", attacks_module.averaging_estimates)
+    )
     programme, data = fresh_copies(DESK, desk_data())
     stats = [key.breakdown_ids for key in statistic_universe(programme)]
 
@@ -442,14 +446,25 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
         # the optimized attack reads no cube: every IRR it keeps was summed by the plain attack
         assert output.cubes.reads == plain_reads
         assert all(output.estimates[key] is value for key, value in plain_sums.items())
+        for optimize in (False, True):  # every cell reads its statistic's one answer entry
+            for ids in stats:
+                for cell in programme.plans[ids]:
+                    run_averaging_attack(programme, output, StatisticKey(ids, cell), optimize)
         return output
 
     release_and_attack(1)
     assert calls["cube_index"] == calls["bincount"] == len(programme.tables)
-    assert calls["enumerate_irrs"] == 2 * len(stats)
+    assert calls["enumerate_irrs"] == calls["averaging_estimates"] == 2 * len(stats)
+    assert calls["cells"] == 2 * len(stats)  # the release's cells and the attack's cell/label map
     calls.update(dict.fromkeys(calls, 0))
     output = release_and_attack(2)
-    assert calls == {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0}
+    assert calls == {
+        "cube_index": 0,
+        "bincount": 0,
+        "enumerate_irrs": 0,
+        "cells": 0,
+        "averaging_estimates": 2 * len(stats),
+    }
     fresh_programme, fresh_data = fresh_copies(programme, data)
     assert release_bytes(output) == release_bytes(perturb_outputs(fresh_programme, fresh_data, spec, 2, spsn=spsn))
 
