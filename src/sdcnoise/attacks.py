@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .noise import CellKey, NoiseSpec, PTable, check_bound, sample_noise
 from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
-from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
+from .tables import Cell, Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import encode, marginal, table_counts
 
 
@@ -182,25 +182,16 @@ def margin_exploit_mc(ptable: PTable, count: int, seed) -> AttackReport:
 # --- massive averaging -------------------------------------------------------
 
 
-def averaging_success(
-    variance: float, k: float, t: float, model: str = "Gaussian", xi: float = 0.5
-) -> float:
+def averaging_success(variance: float, k: float, t: float, xi: float = 0.5) -> float:
     """Probability that the t-fold redundancy average pins the target within xi.
 
-    ``ChebyshevLower`` gives the distribution-free lower bound
-    max(0, 1 - k*V/(t^2 * xi^2)); ``Gaussian`` evaluates the normal model with
-    summed-noise variance k*V/t^2 exactly.
+    Evaluates the normal model with summed-noise variance k*V/t^2 exactly.
     """
     if not (variance >= 0 and k > 0 and t > 0 and xi > 0):
         raise DomainError("V must be nonnegative and k, t, xi positive")
     if variance == 0:
         return 1.0
-    avg_var = k * variance / t**2
-    if model == "ChebyshevLower":
-        return max(0.0, 1.0 - avg_var / xi**2)
-    if model == "Gaussian":
-        return math.erf(xi / math.sqrt(2.0 * avg_var))
-    raise DomainError(f"unknown model {model!r}")
+    return math.erf(xi / math.sqrt(2.0 * (k * variance / t**2)))
 
 
 def averaging_mc(
@@ -209,7 +200,7 @@ def averaging_mc(
     """Sampled success rate of averaging t noise sums totalling k draws."""
     if k < t or t < 1 or trials < 1:
         raise DomainError("need k >= t >= 1 and positive trials")
-    probability = averaging_success(ptable.variance(), k, t, "Gaussian", xi)  # rejects xi before any draw
+    probability = averaging_success(ptable.variance(), k, t, xi)  # rejects xi before any draw
     rng = np.random.default_rng(seed)
     # trials per draw matrix, about 2**16 draws; a trial of more draws sums column blocks of 2**16
     successes, chunk, block = 0, max(1, 2**16 // k), min(k, 2**16)
@@ -243,9 +234,8 @@ class NoisyOutput:
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
     sorted ids whose axes the programme's ``category_index`` indexes, and
     memoises into ``estimates`` each estimate cube by ``(ids, optimize)`` and
-    each IRR sum by ``(cube key, ids)``, shared by the plain and optimized attacks.
-    :func:`run_averaging_attack` adds one answer entry per statistic and mode,
-    by ``(ids, optimize, "answers")``, which every target cell of it reads.
+    each IRR sum by ``(cube key, ids)``, shared by the plain and optimized attacks;
+    :func:`run_averaging_attack` reads every target cell from its statistic's cube.
     ``exact`` keeps the pre-noise tabulations per unique statistic for harness bookkeeping only.
     """
 
@@ -292,8 +282,6 @@ def perturb_outputs(
             if stat not in exact_cubes:
                 exact_cubes[stat] = marginal(counts, ids, stat)
                 key_cubes[stat] = marginal(keys, ids, stat) if cell_key else None
-    for ids in exact_cubes.keys() - programme.plans.keys():  # cells, once per programme
-        programme.plans[ids] = tuple(programme.cells(StatisticKey(ids)))
     cubes = {}
     for key in [(None, ids) for ids in exact_cubes] if spsn else programme.released:
         cube = exact_cubes[key[1]]
@@ -303,9 +291,17 @@ def perturb_outputs(
             cubes[key] = cube + spec.ptable().quantile(key_cubes[key[1]] / 2.0**64)
         else:
             cubes[key] = cube + sample_noise(spec, rng, cube.size).reshape(cube.shape)
-    tables = {key: dict(zip(programme.plans[key[1]], cube.ravel().tolist())) for key, cube in cubes.items()}
-    exact = {ids: dict(zip(programme.plans[ids], cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
+    tables = {key: dict(zip(_cell_index(programme, key[1]), cube.ravel().tolist())) for key, cube in cubes.items()}
+    exact = {ids: dict(zip(_cell_index(programme, ids), cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
     return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes)
+
+
+def _cell_index(programme: TableProgramme, ids: frozenset[str]) -> dict[Cell, tuple[int, str]]:
+    """The statistic's row-major cells, each mapped to its (position, report label); once per programme."""
+    if ids not in programme.plans:
+        key = StatisticKey(ids)
+        programme.plans[ids] = {c: (i, f"{key.label()}:{'/'.join(c)}") for i, c in enumerate(programme.cells(key))}
+    return programme.plans[ids]
 
 
 def averaging_estimates(
@@ -340,43 +336,26 @@ def averaging_estimates(
 
 
 def run_averaging_attack(
-    programme: TableProgramme,
-    output: NoisyOutput,
-    target: StatisticKey,
-    optimize: bool = False,
+    programme: TableProgramme, output: NoisyOutput, target: StatisticKey, optimize: bool = False
 ) -> AttackReport:
     """Average all redundant representations of one target cell and round.
 
-    The first target of a statistic and mode stores its answer entry in
-    ``output.estimates``: the :func:`averaging_estimates` cube as a row-major
-    list, the exact table and the IRR (t, k).  Each cell's row-major position
-    and report label are memoised once per programme in ``programme.plans``.
-    A target cell then reads one position and one label and indexes the list.
+    The target's estimate is read at its row-major position from the
+    statistic's :func:`averaging_estimates` cube, built by the first target of
+    a statistic and mode; its position and report label come from the
+    statistic's cell index in ``programme.plans``, and its truth from ``exact``.
     """
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")
     ids = target.breakdown_ids
-    if (ids, optimize, "answers") not in output.estimates:
-        estimates, stats = averaging_estimates(programme, output, ids, optimize)
-        output.estimates[(ids, optimize, "answers")] = estimates.ravel().tolist(), output.exact[ids], stats.t, stats.k
-    if (ids, "labels") not in programme.plans:
-        prefix = target.label() + ":"
-        programme.plans[(ids, "labels")] = {
-            cell: (i, prefix + "/".join(cell)) for i, cell in enumerate(programme.cells(StatisticKey(ids)))
-        }
-    values, truths, t, k = output.estimates[(ids, optimize, "answers")]
+    estimates, stats = output.estimates.get((ids, optimize)) or averaging_estimates(programme, output, ids, optimize)
     try:
-        position, label = programme.plans[(ids, "labels")][target.cell]
+        position, label = _cell_index(programme, ids)[target.cell]
     except KeyError:
         programme.validate_key(target)  # names the value that is not a category
         raise
-    estimate = values[position]
+    estimate = estimates.item(position)
     recovered = round(estimate)
-    truth = int(truths[target.cell])
-    return AttackReport(
-        attack="Averaging",
-        probability=None,
-        disclosed=[{"cell": label, "recovered": recovered, "true": truth, "estimate": estimate, "t": t, "k": k}],
-        mc_trials=1,
-        mc_successes=int(recovered == truth),
-    )
+    truth = output.exact[ids][target.cell]
+    entry = {"cell": label, "recovered": recovered, "true": truth, "estimate": estimate, "t": stats.t, "k": stats.k}
+    return AttackReport(attack="Averaging", disclosed=[entry], mc_trials=1, mc_successes=int(recovered == truth))

@@ -101,9 +101,9 @@ class TableProgramme:
     pair of a full release in table order and then :func:`enumerate_subtables`
     order, and ``category_index``, each breakdown's category-to-position map.
     ``plans`` starts empty; the release pipeline memoises there, on first use,
-    what no seed changes: each statistic's cells, in the row-major order that
-    independent draws fill, the IRR plan of each averaging attack, and each
-    attacked statistic's map from cell to (row-major position, report label).
+    what no seed changes: each statistic's cell index, its cells in the
+    row-major order that independent draws fill, each mapped to its (position,
+    report label), and the IRR plan of each averaging attack.
     """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):

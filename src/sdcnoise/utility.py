@@ -234,7 +234,7 @@ def scan_ve(
                 e_disclosure_safe=reveal < alpha,
             )
             if kt2 is not None:
-                a_avg = averaging_success(v, kt2, 1.0, "Gaussian")
+                a_avg = averaging_success(v, kt2, 1.0)
                 cell.update(alpha_averaging=a_avg, averaging_safe=a_avg < alpha)
             grid.cells.append(cell)
     return grid
@@ -273,7 +273,7 @@ def scan_eps(
         cell: dict = {"eps": float(eps), "V": variance}
         safes = []
         for i, kt2 in enumerate(kt2_sorted):
-            a_avg = averaging_success(variance, kt2, 1.0, "Gaussian")
+            a_avg = averaging_success(variance, kt2, 1.0)
             safe = a_avg < alpha
             safes.append(safe)
             cell[f"alpha_averaging_{i}"] = a_avg

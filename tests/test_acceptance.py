@@ -116,7 +116,7 @@ def test_criterion_04_margin_exploit():
 
 
 def test_criterion_05_averaging_gaussian_model():
-    model = averaging_success(2.0, 1000, 100, "Gaussian")
+    model = averaging_success(2.0, 1000, 100)
     model_ok = abs(model - 0.7360) <= 0.0005
     counts = {}
     mc_ok = True
@@ -271,9 +271,8 @@ def test_criterion_10_substitute_property_suite():
     chebyshev_ok = True
     for kv in np.linspace(0.01, 5.0, 50):
         for t in np.linspace(1, 200, 50):
-            if averaging_success(kv, 100.0, float(t), "Gaussian") < averaging_success(
-                kv, 100.0, float(t), "ChebyshevLower"
-            ) - 1e-12:
+            # Chebyshev's distribution-free lower bound max(0, 1 - kV / (t^2 xi^2)), xi = 0.5
+            if averaging_success(kv, 100.0, float(t)) < max(0.0, 1.0 - kv * 100.0 / (t**2 * 0.25)) - 1e-12:
                 chebyshev_ok = False
 
     pmf = gen_ptable(2.0, 4).as_pmf()

@@ -178,19 +178,17 @@ def test_margin_exploit_mc_report_is_pinned():
 
 
 def test_averaging_success_values():
-    assert averaging_success(2.0, 1000, 100, "Gaussian") == pytest.approx(0.736, abs=5e-4)
-    assert averaging_success(2.0, 1000, 100, "ChebyshevLower") == pytest.approx(0.2)
-    assert averaging_success(0.0, 10, 5, "Gaussian") == 1.0
-    assert averaging_success(0.0, 10, 5, "ChebyshevLower") == 1.0
+    assert averaging_success(2.0, 1000, 100) == pytest.approx(0.736, abs=5e-4)
+    assert averaging_success(0.0, 10, 5) == 1.0
     with pytest.raises(DomainError):
-        averaging_success(2.0, 10, 5, "Binomial")
+        averaging_success(2.0, 10, 5, xi=0.0)
 
 
 def test_gaussian_dominates_chebyshev_grid():
     for kv in np.linspace(0.01, 5.0, 50):
         for t in np.linspace(1, 200, 50):
-            gauss = averaging_success(kv, 100.0, float(t), "Gaussian")
-            cheb = averaging_success(kv, 100.0, float(t), "ChebyshevLower")
+            gauss = averaging_success(kv, 100.0, float(t))
+            cheb = max(0.0, 1.0 - kv * 100.0 / (t**2 * 0.25))  # Chebyshev's bound at xi = 0.5
             assert gauss >= cheb - 1e-12
 
 

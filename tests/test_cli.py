@@ -115,7 +115,7 @@ def test_attack_averaging_seeded():
     report = json.loads(proc.stdout)
     assert 700 <= report["mc_successes"] <= 780
     assert report["probability"] == pytest.approx(
-        averaging_success(2.0, 1000, 100, "Gaussian")
+        averaging_success(2.0, 1000, 100)
     )
     assert report["seed"] == 1
 
@@ -285,6 +285,9 @@ EXIT_PROBES = {
     "delta-geometric-trunc-negative": (["account", "delta", "--dist", "geometric", "--eps", "0.5",
                                         "--e", "-2"], 2),
     "streams-negative": (["attack", "bound-disclosure", "--e", "2", "--streams", "-1"], 1),
+    # the analytic figure samples nothing, so it reads no seed
+    "bound-disclosure-seed-without-streams": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2",
+                                               "--seed", "5"], 1),
     "scan-eps-variance-overflow": (["scan", "eps", "--eps-min", "1e-300", "--eps-max", "2e-300",
                                     "--eps-step", "1e-300", "--kt2", "0.1", "--t-lau", "68"], 2),
     # about 10**300 grid values: over the 10**6-row limit, refused before any value is made
@@ -306,6 +309,9 @@ EXIT_PROBES = {
     "scan-ve-product": (["scan", "ve", "--m-avail", "1", "--v-step", "0.00005"], 1),  # 110 001 V by 12 E
     "estimate-max-count-huge": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",
                                 "--max-count", "1" + "0" * 20], 1),
+    # an averaging simulation of more than 10**9 draws (k * trials) is a usage error too ...
+    "averaging-draws-huge": (["attack", "averaging", "--v", "2", "--e", "5", "--k", "100000000000", "--t", "100",
+                              "--trials", "2", "--seed", "1"], 1),
     # ... and a bound-disclosure simulation of more than 10**6 tuples (streams * m) a domain error
     "bound-disclosure-e6-streams": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "6",
                                      "--streams", "10", "--seed", "1"], 2),
@@ -387,6 +393,14 @@ def test_every_law_reads_exactly_its_options(command, needs, unread):
         assert proc.returncode == 1
         assert f"{unread} is not read" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_analytic_bound_disclosure_reads_no_seed():
+    proc = run_cli("attack", "bound-disclosure", "--dist", "uniform", "--e", "2", "--streams", "0", "--seed", "5",
+                   check=False)
+    assert proc.returncode == 1
+    assert "--seed is not read" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_geometric_with_a_bound_samples_the_truncated_law():

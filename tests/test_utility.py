@@ -259,7 +259,7 @@ def _flip_eps(kt2):
     lo, hi = 0.01, 5.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if averaging_success(2.0 / mid**2, kt2, 1.0, "Gaussian") < 0.68:
+        if averaging_success(2.0 / mid**2, kt2, 1.0) < 0.68:
             lo = mid
         else:
             hi = mid
