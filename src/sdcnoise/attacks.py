@@ -233,8 +233,8 @@ class NoisyOutput:
     Cells are listed in row-major cube order, the order independent draws fill.
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
     sorted ids whose axes the programme's ``category_index`` indexes, and
-    memoises into ``estimates`` each estimate cube by ``(ids, optimize)`` and
-    each IRR sum by ``(cube key, ids)``, shared by the plain and optimized attacks;
+    memoises into ``estimates`` the IRR sums both attack modes share and each
+    estimate cube by ``(ids, optimize)``, read-only like every memoised array;
     :func:`run_averaging_attack` reads every target cell from its statistic's cube.
     ``exact`` keeps the pre-noise tabulations per unique statistic for harness bookkeeping only.
     """
@@ -263,8 +263,8 @@ def perturb_outputs(
     cube in turn in row-major order, the :meth:`TableProgramme.cells` order.
 
     Each table's finest cube is counted once and every statistic is a
-    marginal of the first table holding it.  Record keys are summed the same
-    way in uint64 cubes, which wrap mod 2**64 like :class:`RecordKey` sums.
+    marginal of the first table holding it.  Record keys, 64-bit fractions of
+    one, are summed the same way in uint64 cubes, which wrap as sums mod one do.
     """
     rng = np.random.default_rng(seed) if spec is not None else None  # exact releases ignore the seed
     cell_key = spsn and isinstance(spec, CellKey)
@@ -304,34 +304,81 @@ def _cell_index(programme: TableProgramme, ids: frozenset[str]) -> dict[Cell, tu
     return programme.plans[ids]
 
 
+def _row_groups(groups: dict) -> tuple[dict, list[np.ndarray]]:
+    """Blocks of index rows laid out by row length: each block's slice, and one read-only index per length.
+
+    C-contiguous, as a gather keeps its index's layout and only C order reduces a row as a contiguous slice.
+    """
+    blocks, index, stop = {}, [], 0
+    for _, group in sorted(groups.items()):
+        for name, rows in group.items():
+            blocks[name], stop = slice(stop, stop + len(rows)), stop + len(rows)
+        index.append(np.ascontiguousarray(np.concatenate(list(group.values()))))
+        index[-1].flags.writeable = False
+    return blocks, index
+
+
+def _gather_plan(programme: TableProgramme, spsn: bool, optimize: bool):
+    """The averaging attack's two seed-free gather plans, each memoised on ``programme.plans``.
+
+    Stage one, per SPSN flag, covers every IRR sum of the plain attack, whose
+    IRRs hold those the optimized attack keeps: one row per cell of the sum's
+    statistic, of indices into the noisy cubes concatenated in ``keys``
+    order, summed-out cells last.  Stage two, per (SPSN, optimize), holds
+    per cell one row of the places of its statistic's t IRR sums, and per
+    statistic its cube shape, :class:`IRRStats` and block of the estimates.
+    Shapes come from the cardinalities, never from a release.
+    """
+    if ("sums", spsn) not in programme.plans:
+        sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
+        stats = dict.fromkeys(stat for _, stat in programme.released)
+        keys = [(None, stat) for stat in stats] if spsn else list(programme.released)
+        offsets = dict(zip(keys, np.cumsum([0] + [math.prod(sizes[b] for b in key[1]) for key in keys]).tolist()))
+        irrs, groups = {}, {}
+        for ids in stats:
+            irrs[ids] = enumerate_irrs(programme, StatisticKey(ids), spsn=spsn)
+            for irr in irrs[ids]:
+                key, order = (irr.table_id, ids | irr.summed_out), sorted(ids | irr.summed_out)
+                cube = offsets[key] + np.arange(math.prod(sizes[b] for b in order)).reshape([sizes[b] for b in order])
+                axes = np.argsort([bid in irr.summed_out for bid in order], kind="stable")  # summed-out axes last
+                groups.setdefault(irr.k_weight, {})[(key, ids)] = cube.transpose(axes).reshape(-1, irr.k_weight)
+        programme.plans[("sums", spsn)] = keys, irrs, *_row_groups(groups)
+    keys, irrs, sums, sum_index = programme.plans[("sums", spsn)]
+    if ("estimates", spsn, optimize) not in programme.plans:
+        shapes, groups = {}, {}
+        for ids, found in irrs.items():
+            stats = optimize_kt2(found) if optimize else count_k_t(found)
+            shapes[ids] = tuple(programme.breakdowns[bid].cardinality for bid in sorted(ids)), stats
+            first = [sums[((irr.table_id, ids | irr.summed_out), ids)].start for irr in stats.irrs]
+            groups.setdefault(stats.t, {})[ids] = np.add.outer(np.arange(math.prod(shapes[ids][0])), first)
+        programme.plans[("estimates", spsn, optimize)] = shapes, *_row_groups(groups)
+    return keys, irrs, sum_index, *programme.plans[("estimates", spsn, optimize)]
+
+
 def averaging_estimates(
     programme: TableProgramme, output: NoisyOutput, ids: frozenset[str], optimize: bool = False
 ) -> tuple[np.ndarray, IRRStats]:
     """Averaging-attack estimates of every cell of the statistic ``ids``, with their IRRs.
 
-    Each chosen IRR's noisy cube is summed over its ``summed_out`` axes and
-    the sums are averaged into one cube over ``sorted(ids)``.  The result is
-    memoised on ``output.estimates`` by ``(ids, optimize)`` and each IRR sum
-    by ``(cube key, ids)``: an output answers for the programme it was
-    released from.
+    A release's first call per mode fills every statistic from the gather
+    plans: one concatenation of the noisy cubes, a row sum per row length
+    into the IRR sums both modes share (``"irr_sums"``), a row mean per IRR
+    count.  Each read-only estimate cube over ``sorted(ids)`` is memoised on
+    ``output.estimates`` by ``(ids, optimize)`` with its :class:`IRRStats`:
+    an output answers for the programme it was released from.
     """
     if (ids, optimize) not in output.estimates:
-        if (ids, output.spsn, optimize) not in programme.plans:  # the seed-free IRR plan, once per programme
-            irrs = enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)
-            stats = optimize_kt2(irrs) if optimize else count_k_t(irrs)
-            # per IRR its noisy cube's key, and axes that put the summed-out axes last and
-            # contiguous, so each cell sums as its own slice would
-            programme.plans[(ids, output.spsn, optimize)] = stats, tuple(
-                (key, tuple(np.argsort([bid not in ids for bid in sorted(key[1])], kind="stable").tolist()))
-                for key in ((irr.table_id, ids | irr.summed_out) for irr in stats.irrs)
-            )
-        stats, plan = programme.plans[(ids, output.spsn, optimize)]
-        for key, axes in plan:
-            if (key, ids) not in output.estimates:
-                cube = np.ascontiguousarray(output.cubes[key].transpose(axes))
-                output.estimates[(key, ids)] = cube.reshape(cube.shape[: len(ids)] + (-1,)).sum(axis=-1)
-        sums = [output.estimates[(key, ids)] for key, _ in plan]
-        output.estimates[(ids, optimize)] = np.stack(sums, axis=-1).mean(axis=-1), stats
+        keys, irrs, sum_index, shapes, cells, mean_index = _gather_plan(programme, output.spsn, optimize)
+        if ids not in irrs:
+            enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)  # names the unknown id or missing table
+        if "irr_sums" not in output.estimates:
+            flat = np.concatenate([output.cubes[key].ravel() for key in keys])
+            output.estimates["irr_sums"] = np.concatenate([flat[index].sum(axis=-1) for index in sum_index])
+            output.estimates["irr_sums"].flags.writeable = False
+        estimates = np.concatenate([output.estimates["irr_sums"][index].mean(axis=-1) for index in mean_index])
+        estimates.flags.writeable = False
+        for stat, (shape, stats) in shapes.items():
+            output.estimates[(stat, optimize)] = estimates[cells[stat]].reshape(shape), stats
     return output.estimates[(ids, optimize)]
 
 
@@ -340,10 +387,10 @@ def run_averaging_attack(
 ) -> AttackReport:
     """Average all redundant representations of one target cell and round.
 
-    The target's estimate is read at its row-major position from the
-    statistic's :func:`averaging_estimates` cube, built by the first target of
-    a statistic and mode; its position and report label come from the
-    statistic's cell index in ``programme.plans``, and its truth from ``exact``.
+    The estimate is read at the target's row-major position from its
+    statistic's :func:`averaging_estimates` cube, which raises as
+    :func:`enumerate_irrs` for a statistic the release lacks; the position and
+    report label come from the cell index in ``programme.plans``.
     """
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")

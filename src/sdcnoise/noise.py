@@ -23,10 +23,6 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 
-_FRAC_BITS = 64
-_FRAC_ONE = 1 << _FRAC_BITS
-
-
 def check_epsilon(epsilon: float) -> float:
     """``epsilon`` if 0 < epsilon < inf, else DomainError (NaN included): the one positive-epsilon check."""
     if not 0 < epsilon < math.inf:
@@ -159,50 +155,6 @@ def gen_ptable(variance: float, bound: int) -> PTable:
         lam = 0.5 * (lo + hi)
     w = np.exp(-lam * j.astype(float) ** 2)
     return PTable(bound=bound, probabilities=w / w.sum())
-
-
-@dataclass(frozen=True)
-class RecordKey:
-    """Per-record uniform key in [0,1), held as a 64-bit fixed-precision fraction.
-
-    Fixed precision makes cell-key addition exactly associative, so identical
-    record sets yield bit-identical cell keys regardless of summation order.
-    """
-
-    fraction: int
-
-    def __post_init__(self):
-        if not 0 <= self.fraction < _FRAC_ONE:
-            raise DomainError(f"fraction out of range: {self.fraction}")
-
-    @property
-    def key(self) -> float:
-        return self.fraction / _FRAC_ONE
-
-    @classmethod
-    def from_float(cls, key: float) -> "RecordKey":
-        if not 0.0 <= key < 1.0:
-            raise DomainError(f"record key must lie in [0,1), got {key}")
-        return cls(fraction=int(key * _FRAC_ONE) % _FRAC_ONE)
-
-
-def random_record_keys(count: int, seed) -> list[RecordKey]:
-    rng = np.random.default_rng(seed)
-    fractions = rng.integers(0, _FRAC_ONE, size=count, dtype=np.uint64)
-    return [RecordKey(fraction=int(f)) for f in fractions]
-
-
-def cell_key(records) -> float:
-    """Fractional part of the summed record keys; 0 for the empty cell."""
-    total = 0
-    for rk in records:
-        total = (total + rk.fraction) % _FRAC_ONE
-    return total / _FRAC_ONE
-
-
-def cell_key_noise(cell_records, ptable: PTable) -> int:
-    """Deterministic lookup noise: the p-table quantile at the cell key."""
-    return int(ptable.quantile(cell_key(cell_records)))
 
 
 # --- parameterized noise specifications -------------------------------------

@@ -103,7 +103,8 @@ class TableProgramme:
     ``plans`` starts empty; the release pipeline memoises there, on first use,
     what no seed changes: each statistic's cell index, its cells in the
     row-major order that independent draws fill, each mapped to its (position,
-    report label), and the IRR plan of each averaging attack.
+    report label), and the averaging attack's two gather plans, of every IRR
+    sum per SPSN flag and of every estimate per (SPSN, optimize).
     """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):

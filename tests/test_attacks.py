@@ -375,6 +375,29 @@ def test_seeded_averaging_attack_matches_recorded_digest(name, optimize):
     assert h.hexdigest() == ATTACK_DIGESTS[(name, optimize)]
 
 
+# targets outside the release's statistics, each with the error it must raise
+BAD_TARGETS = [
+    (StatisticKey(frozenset({"NOPE"}), ("x",)), ProgrammeError, "unknown breakdown reference 'NOPE'"),
+    (StatisticKey(frozenset({"AGE.L", "AGE.M"}), ("a0", "old")), DomainError, "not contained in any table"),
+    (StatisticKey(frozenset({"SEX", "GEO.L"}), ("north", "X")), ProgrammeError, "'X' is not a category"),
+]
+
+
+@pytest.mark.parametrize("spec,spsn", [(CellKey(2.0, 5), True), (Laplace(0.5), False)])
+def test_averaging_attack_rejects_targets_outside_the_release_cold_and_warm(spec, spsn):
+    rng = random.Random(5)
+    programme = parse_programme(resources.files("sdcnoise.data").joinpath("desk_programme.json").read_text())
+    output = perturb_outputs(programme, _random_data(rng, programme, 200), spec, 6, spsn=spsn)
+    valid = StatisticKey(frozenset({"SEX", "GEO.L"}), ("north", "F"))
+    for _ in range(2):  # a cold release has no estimates yet; a warm one has attacked a cell in both modes
+        for optimize in (False, True):
+            for target, error, message in BAD_TARGETS:
+                with pytest.raises(error, match=message):
+                    run_averaging_attack(programme, output, target, optimize)
+        for optimize in (False, True):
+            assert run_averaging_attack(programme, output, valid, optimize).disclosed[0]["true"] >= 0
+
+
 def test_spsn_release_reuses_noise_across_tables():
     doc = {
         "breakdowns": [

@@ -12,20 +12,18 @@ from sdcnoise.noise import (
     CellKey,
     Laplace,
     PTable,
-    RecordKey,
     TruncatedLaplace,
     TwoTailedGeometric,
-    cell_key,
-    cell_key_noise,
     check_bound,
     gen_ptable,
     geometric2_pmf,
     laplace_variance,
-    random_record_keys,
     sample_noise,
     uniform_max_variance,
 )
 from sdcnoise.utility import scan_eps, tail_prob
+
+from record_keys import RecordKey, cell_key, cell_key_noise, random_record_keys
 
 
 def test_laplace_variance_examples():
