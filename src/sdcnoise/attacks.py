@@ -390,7 +390,7 @@ def run_averaging_attack(
     The estimate is read at the target's row-major position from its
     statistic's :func:`averaging_estimates` cube, which raises as
     :func:`enumerate_irrs` for a statistic the release lacks; the position and
-    report label come from the cell index in ``programme.plans``.
+    report label come from the cell index in ``programme.plans``, the truth from ``exact``.
     """
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")
