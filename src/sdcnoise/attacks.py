@@ -20,7 +20,7 @@ from .errors import DomainError
 from .noise import CellKey, NoiseSpec, PTable, check_bound, sample_noise
 from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
 from .tables import Cell, Microdata, StatisticKey, TableProgramme, enumerate_subtables
-from .tables import encode, marginal, table_counts
+from .tables import encode, table_counts
 
 
 def _recorded_seed(seed) -> int | None:
@@ -233,10 +233,13 @@ class NoisyOutput:
     Cells are listed in row-major cube order, the order independent draws fill.
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
     sorted ids whose axes the programme's ``category_index`` indexes, and
-    memoises into ``estimates`` the IRR sums both attack modes share and each
-    estimate cube by ``(ids, optimize)``, read-only like every memoised array;
-    :func:`run_averaging_attack` reads every target cell from its statistic's cube.
-    ``exact`` keeps the pre-noise tabulations per unique statistic for harness bookkeeping only.
+    memoises into ``estimates`` the IRR sums both attack modes share, each
+    estimate cube by ``(ids, optimize)``, read-only like every memoised array,
+    and each statistic's answer map by ``("answers", ids, optimize)``, from
+    which :func:`run_averaging_attack` answers a target cell with one lookup.
+    ``exact`` keeps the pre-noise tabulations per unique statistic for harness
+    bookkeeping only: each release holds its own copies of the dicts the
+    microdata memoises.
     """
 
     spsn: bool
@@ -255,44 +258,39 @@ def perturb_outputs(
 ) -> NoisyOutput:
     """Release every table of the programme with all its marginals, noised.
 
-    ``spec=None`` releases exact counts.  With SPSN and a CellKey spec the
-    noise is the genuine lookup mechanism driven by per-record keys; with SPSN
-    and other specs one draw is reused per unique (statistic, cell).  Without
-    SPSN every (table, statistic, cell) gets an independent draw.  Independent
-    draws come from one generator per release, seeded by ``seed``, and fill each
-    cube in turn in row-major order, the :meth:`TableProgramme.cells` order.
+    ``spec=None`` releases exact counts, as the read-only exact cubes the
+    microdata memoises.  With SPSN and a CellKey spec the noise is the genuine
+    lookup mechanism driven by per-record keys; with SPSN and other specs one
+    draw is reused per unique (statistic, cell).  Without SPSN every (table,
+    statistic, cell) gets an independent draw.  Independent draws come from
+    one generator per release, seeded by ``seed``, and fill each cube in turn
+    in row-major order, the :meth:`TableProgramme.cells` order.
 
-    Each table's finest cube is counted once and every statistic is a
-    marginal of the first table holding it.  Record keys, 64-bit fractions of
-    one, are summed the same way in uint64 cubes, which wrap as sums mod one do.
+    Every statistic is counted once per microdata, from the first table
+    holding it, through the programme's seed-free marginal plan
+    (:func:`_exact_statistics`).  A cell-key release sums the record keys,
+    64-bit fractions of one, into each table's uint64 cube, gathers them
+    through the same plan in uint64, which wraps as sums mod one do, and
+    looks every cell key up in the p-table at once.
     """
     rng = np.random.default_rng(seed) if spec is not None else None  # exact releases ignore the seed
-    cell_key = spsn and isinstance(spec, CellKey)
-    record_keys = rng.integers(0, 2**64, size=data.n, dtype=np.uint64) if cell_key else None
-    used = sorted({bid for table in programme.tables for bid in table.breakdowns})
-    encode(programme, data, used)  # every column in one pass over the records
-    exact_cubes, key_cubes = {}, {}
-    for table in programme.tables:
-        ids = tuple(sorted(table.breakdowns))
-        flat, counts = table_counts(programme, data, ids)
-        if cell_key:
-            keys = np.zeros(counts.shape, dtype=np.uint64)
-            np.add.at(keys.reshape(-1), flat, record_keys)  # a view: keys is contiguous
-        for stat in (sub.breakdown_ids for sub in enumerate_subtables(table)):
-            if stat not in exact_cubes:
-                exact_cubes[stat] = marginal(counts, ids, stat)
-                key_cubes[stat] = marginal(keys, ids, stat) if cell_key else None
-    cubes = {}
-    for key in [(None, ids) for ids in exact_cubes] if spsn else programme.released:
-        cube = exact_cubes[key[1]]
-        if spec is None:
-            cubes[key] = cube
-        elif cell_key:
-            cubes[key] = cube + spec.ptable().quantile(key_cubes[key[1]] / 2.0**64)
-        else:
-            cubes[key] = cube + sample_noise(spec, rng, cube.size).reshape(cube.shape)
+    _, offsets, shapes, sum_index = _marginal_plan(programme)
+    flats, counts, exact_cubes, exact_dicts = _exact_statistics(programme, data)
+    if spsn and isinstance(spec, CellKey):
+        record_keys = rng.integers(0, 2**64, size=data.n, dtype=np.uint64)
+        keys = np.zeros(offsets[-1], dtype=np.uint64)
+        for flat, start, stop in zip(flats, offsets, offsets[1:]):
+            np.add.at(keys[start:stop], flat, record_keys)  # a view of the tables' one key vector
+        key_sums = np.concatenate([keys[index].sum(axis=-1) for index in sum_index])
+        noisy = counts + spec.ptable().quantile(key_sums / 2.0**64)
+        cubes = {(None, ids): noisy[block].reshape(shape) for ids, (shape, block) in shapes.items()}
+    else:
+        cubes = {}
+        for key in [(None, ids) for ids in shapes] if spsn else programme.released:
+            cube = exact_cubes[key[1]]
+            cubes[key] = cube if spec is None else cube + sample_noise(spec, rng, cube.size).reshape(cube.shape)
     tables = {key: dict(zip(_cell_index(programme, key[1]), cube.ravel().tolist())) for key, cube in cubes.items()}
-    exact = {ids: dict(zip(_cell_index(programme, ids), cube.ravel().tolist())) for ids, cube in exact_cubes.items()}
+    exact = {ids: dict(cells) for ids, cells in exact_dicts.items()}  # each release's own copies
     return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes)
 
 
@@ -302,6 +300,17 @@ def _cell_index(programme: TableProgramme, ids: frozenset[str]) -> dict[Cell, tu
         key = StatisticKey(ids)
         programme.plans[ids] = {c: (i, f"{key.label()}:{'/'.join(c)}") for i, c in enumerate(programme.cells(key))}
     return programme.plans[ids]
+
+
+def _rows(sizes: Mapping[str, int], offset: int, ids: frozenset[str], summed_out: frozenset[str]) -> np.ndarray:
+    """Flat indices of the cube over ``sorted(ids)`` stored from ``offset``, one row per cell of ``ids - summed_out``.
+
+    Rows follow that statistic's row-major order; each row lists the cells summed into it.
+    """
+    order = sorted(ids)
+    cube = offset + np.arange(math.prod(sizes[b] for b in order)).reshape([sizes[b] for b in order])
+    axes = np.argsort([bid in summed_out for bid in order], kind="stable")  # summed-out axes last
+    return cube.transpose(axes).reshape(-1, math.prod(sizes[b] for b in summed_out))
 
 
 def _row_groups(groups: dict) -> tuple[dict, list[np.ndarray]]:
@@ -318,14 +327,63 @@ def _row_groups(groups: dict) -> tuple[dict, list[np.ndarray]]:
     return blocks, index
 
 
+def _marginal_plan(programme: TableProgramme):
+    """Every statistic as rows of the tables' cubes: the release's seed-free plan, memoised on ``programme.plans``.
+
+    Each table that first holds some statistic gets its sorted ids and an
+    offset in one vector of the tables' flat cubes; each statistic, in
+    ``released`` order, gets its cube shape and a block of one vector of
+    statistic cells.  A cell's row, from :func:`_rows`, lists the cells of
+    the first table holding the statistic that sum to it.
+    """
+    if "marginals" not in programme.plans:
+        sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
+        tables, offsets, groups, stats = [], [0], {}, {}
+        for table in programme.tables:
+            new = [sub.breakdown_ids for sub in enumerate_subtables(table) if sub.breakdown_ids not in stats]
+            for stat in new:
+                stats[stat] = tuple(sizes[bid] for bid in sorted(stat))
+                rows = _rows(sizes, offsets[-1], table.breakdown_set, table.breakdown_set - stat)
+                groups.setdefault(rows.shape[1], {})[stat] = rows
+            if new:
+                tables.append(tuple(sorted(table.breakdowns)))
+                offsets.append(offsets[-1] + math.prod(sizes[bid] for bid in table.breakdowns))
+        blocks, index = _row_groups(groups)
+        shapes = {stat: (shape, blocks[stat]) for stat, shape in stats.items()}
+        programme.plans["marginals"] = tables, offsets, shapes, index
+    return programme.plans["marginals"]
+
+
+def _exact_statistics(programme: TableProgramme, data: Microdata):
+    """The planned tables' record cells and every statistic's exact counts, once per microdata.
+
+    Memoised on ``data.codes`` next to the table count cubes, by the planned
+    tables' ids and category orders: the record cells of each table, one
+    read-only vector of every statistic's counts in the marginal plan's
+    layout, each statistic's cube (a view of it) and its cell dict.
+    """
+    tables, _, shapes, sum_index = _marginal_plan(programme)
+    key = ("exact", tuple(tuple((bid, programme.breakdowns[bid].categories) for bid in ids) for ids in tables))
+    if key not in data.codes:
+        encode(programme, data, sorted({bid for ids in tables for bid in ids}))  # every column in one pass
+        flats, counts = zip(*(table_counts(programme, data, ids) for ids in tables))
+        cells = np.concatenate([cube.ravel() for cube in counts])
+        exact = np.concatenate([cells[index].sum(axis=-1) for index in sum_index])
+        exact.flags.writeable = False
+        cubes = {ids: exact[block].reshape(shape) for ids, (shape, block) in shapes.items()}
+        dicts = {ids: dict(zip(_cell_index(programme, ids), cube.ravel().tolist())) for ids, cube in cubes.items()}
+        data.codes[key] = flats, exact, cubes, dicts
+    return data.codes[key]
+
+
 def _gather_plan(programme: TableProgramme, spsn: bool, optimize: bool):
     """The averaging attack's two seed-free gather plans, each memoised on ``programme.plans``.
 
     Stage one, per SPSN flag, covers every IRR sum of the plain attack, whose
-    IRRs hold those the optimized attack keeps: one row per cell of the sum's
-    statistic, of indices into the noisy cubes concatenated in ``keys``
-    order, summed-out cells last.  Stage two, per (SPSN, optimize), holds
-    per cell one row of the places of its statistic's t IRR sums, and per
+    IRRs hold those the optimized attack keeps: one :func:`_rows` row per cell
+    of the sum's statistic, of indices into the noisy cubes concatenated in
+    ``keys`` order, summed-out cells last.  Stage two, per (SPSN, optimize),
+    holds per cell one row of the places of its statistic's t IRR sums, and per
     statistic its cube shape, :class:`IRRStats` and block of the estimates.
     Shapes come from the cardinalities, never from a release.
     """
@@ -338,10 +396,8 @@ def _gather_plan(programme: TableProgramme, spsn: bool, optimize: bool):
         for ids in stats:
             irrs[ids] = enumerate_irrs(programme, StatisticKey(ids), spsn=spsn)
             for irr in irrs[ids]:
-                key, order = (irr.table_id, ids | irr.summed_out), sorted(ids | irr.summed_out)
-                cube = offsets[key] + np.arange(math.prod(sizes[b] for b in order)).reshape([sizes[b] for b in order])
-                axes = np.argsort([bid in irr.summed_out for bid in order], kind="stable")  # summed-out axes last
-                groups.setdefault(irr.k_weight, {})[(key, ids)] = cube.transpose(axes).reshape(-1, irr.k_weight)
+                key = (irr.table_id, ids | irr.summed_out)
+                groups.setdefault(irr.k_weight, {})[(key, ids)] = _rows(sizes, offsets[key], key[1], irr.summed_out)
         programme.plans[("sums", spsn)] = keys, irrs, *_row_groups(groups)
     keys, irrs, sums, sum_index = programme.plans[("sums", spsn)]
     if ("estimates", spsn, optimize) not in programme.plans:
@@ -365,7 +421,11 @@ def averaging_estimates(
     into the IRR sums both modes share (``"irr_sums"``), a row mean per IRR
     count.  Each read-only estimate cube over ``sorted(ids)`` is memoised on
     ``output.estimates`` by ``(ids, optimize)`` with its :class:`IRRStats`:
-    an output answers for the programme it was released from.
+    an output answers for the programme it was released from.  The same pass
+    memoises each statistic's answer map by ``("answers", ids, optimize)``:
+    its :class:`IRRStats` and, per cell, the cell index's (position, label),
+    the estimate, its ``round`` (half to even, a Python int of any size) and
+    the truth from ``output.exact``.
     """
     if (ids, optimize) not in output.estimates:
         keys, irrs, sum_index, shapes, cells, mean_index = _gather_plan(programme, output.spsn, optimize)
@@ -377,8 +437,15 @@ def averaging_estimates(
             output.estimates["irr_sums"].flags.writeable = False
         estimates = np.concatenate([output.estimates["irr_sums"][index].mean(axis=-1) for index in mean_index])
         estimates.flags.writeable = False
+        values = estimates.tolist()
+        recovered = list(map(round, values))
         for stat, (shape, stats) in shapes.items():
-            output.estimates[(stat, optimize)] = estimates[cells[stat]].reshape(shape), stats
+            block, exact = cells[stat], output.exact[stat]
+            output.estimates[(stat, optimize)] = estimates[block].reshape(shape), stats
+            answers = zip(_cell_index(programme, stat).items(), values[block], recovered[block])
+            output.estimates[("answers", stat, optimize)] = stats, {
+                cell: (place, value, rounded, exact[cell]) for (cell, place), value, rounded in answers
+            }
     return output.estimates[(ids, optimize)]
 
 
@@ -387,22 +454,21 @@ def run_averaging_attack(
 ) -> AttackReport:
     """Average all redundant representations of one target cell and round.
 
-    The estimate is read at the target's row-major position from its
-    statistic's :func:`averaging_estimates` cube, which raises as
-    :func:`enumerate_irrs` for a statistic the release lacks; the position and
-    report label come from the cell index in ``programme.plans``, the truth from ``exact``.
+    The target's answer is one lookup in its statistic's answer map, which
+    :func:`averaging_estimates` fills, raising as :func:`enumerate_irrs` for a
+    statistic the release lacks: the report label from the cell index in
+    ``programme.plans``, the estimate, its rounding and the truth from ``exact``.
     """
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")
     ids = target.breakdown_ids
-    estimates, stats = output.estimates.get((ids, optimize)) or averaging_estimates(programme, output, ids, optimize)
+    if ("answers", ids, optimize) not in output.estimates:
+        averaging_estimates(programme, output, ids, optimize)
+    stats, cells = output.estimates[("answers", ids, optimize)]
     try:
-        position, label = _cell_index(programme, ids)[target.cell]
+        (_, label), estimate, recovered, truth = cells[target.cell]
     except KeyError:
         programme.validate_key(target)  # names the value that is not a category
         raise
-    estimate = estimates.item(position)
-    recovered = round(estimate)
-    truth = output.exact[ids][target.cell]
     entry = {"cell": label, "recovered": recovered, "true": truth, "estimate": estimate, "t": stats.t, "k": stats.k}
     return AttackReport(attack="Averaging", disclosed=[entry], mc_trials=1, mc_successes=int(recovered == truth))

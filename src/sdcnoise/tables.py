@@ -8,8 +8,8 @@ Tabulation counts integer category codes into a row-major numpy cube with
 one axis per sorted breakdown id; a marginal sums the dropped axes.
 
 Everything here is immutable after construction.  A :class:`Microdata`
-memoises its category codes and table cubes, a :class:`TableProgramme` its
-release plans; two tasks filling the same memo at once compute equal values,
+memoises its category codes, table cubes and a release's exact statistics,
+a :class:`TableProgramme` its release plans; two tasks filling the same memo at once compute equal values,
 so a race only repeats work, and tabulation is safe to use from concurrent
 tasks.
 """
@@ -103,8 +103,9 @@ class TableProgramme:
     ``plans`` starts empty; the release pipeline memoises there, on first use,
     what no seed changes: each statistic's cell index, its cells in the
     row-major order that independent draws fill, each mapped to its (position,
-    report label), and the averaging attack's two gather plans, of every IRR
-    sum per SPSN flag and of every estimate per (SPSN, optimize).
+    report label), the marginal plan that sums every statistic from the first
+    table holding it, and the averaging attack's two gather plans, of every
+    IRR sum per SPSN flag and of every estimate per (SPSN, optimize).
     """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):
@@ -212,7 +213,8 @@ class Microdata:
 
     ``columns`` and ``records`` are stored as tuples, so the records cannot
     change under the category codes and table cubes that :func:`encode` and
-    :func:`table_counts` memoise in ``codes``.
+    :func:`table_counts` memoise in ``codes``, nor under the exact statistics
+    a release memoises there.
     """
 
     columns: tuple[str, ...]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sdcnoise.attacks import (
     AttackReport,
+    NoisyOutput,
     averaging_mc,
     averaging_success,
     bound_disclosure_mc,
@@ -342,6 +343,40 @@ def test_averaging_reports_of_one_cell_share_no_entry():
     want = first.to_json()
     first.disclosed[0].update(cell="changed", recovered=-1, true=-1, estimate=-1.0, t=0, k=0)
     assert run_averaging_attack(SEX_AGE, output, target).to_json() == want
+
+
+def test_averaging_attack_rounds_half_to_even():
+    """Estimates at exactly k + 0.5 round to the even neighbour, as Python's ``round`` does."""
+    programme = parse_programme(
+        {"breakdowns": [{"id": "A", "categories": ["a", "b", "c", "d"]}], "tables": [{"id": "T", "breakdowns": ["A"]}]}
+    )
+    total, by_a = frozenset(), frozenset({"A"})
+    cubes = {(None, total): np.array(7.0), (None, by_a): np.array([0.5, 1.5, 2.5, -0.5])}
+    exact = {total: {(): 5}, by_a: {(c,): 1 for c in "abcd"}}
+    tables = {key: dict(zip(programme.cells(StatisticKey(key[1])), cube.ravel().tolist())) for key, cube in cubes.items()}
+    output = NoisyOutput(spsn=True, tables=tables, exact=exact, cubes=cubes)
+    targets = [StatisticKey(total, ())] + [StatisticKey(by_a, (c,)) for c in "abcd"]
+    entries = [run_averaging_attack(programme, output, target).disclosed[0] for target in targets]
+    # the total averages its own cell, 7, and the sum over A, 4: 5.5
+    assert [entry["estimate"] for entry in entries] == [5.5, 0.5, 1.5, 2.5, -0.5]
+    assert [entry["recovered"] for entry in entries] == [6, 0, 2, 2, 0]
+    assert all(type(entry["recovered"]) is int and entry["recovered"] == round(entry["estimate"]) for entry in entries)
+
+
+@pytest.mark.parametrize("spsn", [True, False])
+def test_averaging_attack_recovers_a_python_int_at_tiny_epsilon(spsn):
+    """Laplace noise at epsilon = 1e-150 gives estimates near 1e150, beyond any fixed-width integer.
+
+    Smaller epsilons are rejected: their Laplace variance overflows a float.
+    """
+    output = perturb_outputs(SEX_AGE, _random_data(random.Random(6), SEX_AGE, 30), Laplace(1e-150), 8, spsn=spsn)
+    for optimize in (False, True):
+        for stat in statistic_universe(SEX_AGE):
+            for cell in SEX_AGE.cells(stat):
+                entry = run_averaging_attack(SEX_AGE, output, StatisticKey(stat.breakdown_ids, cell), optimize)
+                entry = entry.disclosed[0]
+                assert type(entry["recovered"]) is int and entry["recovered"] == round(entry["estimate"])
+                assert abs(entry["recovered"]) > 2**64
 
 
 DESK = parse_programme(resources.files("sdcnoise.data").joinpath("desk_programme.json").read_text())

@@ -46,6 +46,7 @@ from sdcnoise.tables import (
     marginal,
     parse_programme,
     read_microdata,
+    table_counts,
     tabulate,
 )
 
@@ -53,8 +54,8 @@ from record_keys import RecordKey, cell_key, cell_key_noise
 
 
 @st.composite
-def programmes_with_data(draw, max_records=40):
-    """A random programme of 1-4 breakdowns and 1-3 tables, with microdata."""
+def programmes_with_data(draw, max_records=40, min_tables=1):
+    """A random programme of 1-4 breakdowns and ``min_tables``-3 tables, with microdata."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     breakdowns = [
         Breakdown(id=f"B{i}", categories=tuple(f"c{j}" for j in range(size)))
@@ -63,7 +64,7 @@ def programmes_with_data(draw, max_records=40):
     ids = [b.id for b in breakdowns]
     tables = [
         TableSpec(id=f"T{t}", breakdowns=tuple(draw(st.permutations(ids))[: draw(st.integers(1, len(ids)))]))
-        for t in range(draw(st.integers(1, 3)))
+        for t in range(draw(st.integers(min_tables, 3)))
     ]
     records = draw(
         st.lists(st.tuples(*(st.sampled_from(b.categories) for b in breakdowns)), max_size=max_records)
@@ -155,6 +156,38 @@ def test_cube_cell_keys_are_bit_exact_and_order_free(case, rnd):
             for cell, total, key in zip(programme.cells(sub), sums.tolist(), keys):
                 assert total == sum(rk.fraction for rk in members[cell]) % 2**64
                 assert key == cell_key(members[cell])
+
+
+class HighKeys(np.random.Generator):
+    """A release generator whose record keys sit in the top quarter below 2**64: any two sum past 2**64.
+
+    A wrapped sum of a few keys lands anywhere in [0, 2**64), while an unwrapped one would pin every cell key at +E.
+    """
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        return np.uint64(2**64 - 2**62) + super().integers(0, 2**62, size=size, dtype=np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(programmes_with_data(min_tables=2), st.integers(0, 2**32 - 1))
+def test_planned_statistics_match_every_table_holding_them(case, seed):
+    """Every table holds the total, so with two tables or more some statistic sits in several."""
+    programme, data = case
+    spec = CellKey(variance=2.0, bound=3)
+    for data in (data, Microdata(data.columns, ())):  # n = 0 included
+        exact = perturb_outputs(programme, data, None, seed).cubes
+        output = perturb_outputs(programme, data, spec, HighKeys(np.random.PCG64(seed)))
+        record_keys = HighKeys(np.random.PCG64(seed)).integers(0, 2**64, size=data.n, dtype=np.uint64)
+        assert data.n < 2 or sum(map(int, record_keys)) >= 2**64  # the key sums wrap
+        for table in programme.tables:
+            ids = tuple(sorted(table.breakdowns))
+            counts, keys = table_counts(programme, data, ids)[1], key_cube(programme, data, ids, record_keys)
+            for stat in (sub.breakdown_ids for sub in enumerate_subtables(table)):
+                want = marginal(counts, ids, stat)
+                assert exact[(None, stat)].dtype == want.dtype and np.array_equal(exact[(None, stat)], want)
+                assert list(output.exact[stat].values()) == want.ravel().tolist()
+                noise = spec.ptable().quantile(marginal(keys, ids, stat) / 2.0**64)
+                assert np.array_equal(output.cubes[(None, stat)] - want, noise)
 
 
 def irr_value(programme, output, irr, target):
@@ -458,18 +491,35 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
         assert calls["averaging_estimates"] - cold == 2
         return output
 
-    release_and_attack(1)
+    first = release_and_attack(1)
     assert calls["cube_index"] == calls["bincount"] == len(programme.tables)
     assert calls["enumerate_irrs"] == len(stats)  # once per statistic, for the plain and the optimized plan
     assert calls["cells"] == len(stats)  # one cell index per statistic, shared by release and attack
     plans = dict(programme.plans)
+
+    def seed_free_parts():
+        """The marginal plan's index arrays, and the table cells, exact statistic vector, cubes and dicts."""
+        flats, counts, cubes, dicts = attacks_module._exact_statistics(programme, data)
+        return [*programme.plans["marginals"][-1], *flats, counts, *cubes.values(), *dicts.values()]
+
+    parts = seed_free_parts()
     calls.update(dict.fromkeys(calls, 0))
     output = release_and_attack(2)
     assert calls == {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0, "cells": 0, "averaging_estimates": 2}
     assert programme.plans.keys() == plans.keys()
     assert all(programme.plans[key] is plan for key, plan in plans.items())
+    assert all(a is b for a, b in zip(seed_free_parts(), parts, strict=True))
     fresh_programme, fresh_data = fresh_copies(programme, data)
     assert release_bytes(output) == release_bytes(perturb_outputs(fresh_programme, fresh_data, spec, 2, spsn=spsn))
+    # each release holds its own exact dicts: equal, never shared, so a caller's edit stays in its release
+    assert first.exact == output.exact and first.exact is not output.exact
+    assert all(first.exact[ids] is not output.exact[ids] for ids in stats)
+    ids = frozenset(stats[-1])
+    cell = next(iter(output.exact[ids]))
+    truth = output.exact[ids][cell]
+    output.exact[ids][cell] += 1
+    assert first.exact[ids][cell] == truth
+    assert perturb_outputs(programme, data, spec, 3, spsn=spsn).exact[ids][cell] == truth
 
 
 def test_memoised_arrays_are_read_only():
@@ -486,12 +536,17 @@ def test_memoised_arrays_are_read_only():
         assert [position for position, _ in index.values()] == list(range(len(cells)))
         prefix = StatisticKey(ids).label() + ":"
         assert [label for _, label in index.values()] == [prefix + "/".join(cell) for cell in cells]
-    # the gather plans' index arrays, the release's IRR-sum vector and every estimate cube
-    plans = [array for key in [("sums", False), ("estimates", False, False), ("estimates", False, True)]
+    # the marginal and gather plans' index arrays, the release's IRR-sum vector and every estimate cube
+    plans = [array for key in ["marginals", ("sums", False), ("estimates", False, False), ("estimates", False, True)]
              for array in programme.plans[key][-1]]
     estimates = [output.estimates["irr_sums"]]
     estimates += [output.estimates[(ids, optimize)][0] for ids in output.exact for optimize in (False, True)]
-    for array in [array for pair in tables for array in pair] + plans + estimates:
+    # the exact statistic vector and its cubes, which an exact release hands out as they are
+    _, counts, cubes, _ = attacks_module._exact_statistics(programme, data)
+    exact_release = perturb_outputs(programme, data, None, 0, spsn=False)
+    assert all(exact_release.cubes[key] is cubes[key[1]] for key in programme.released)
+    exact = [counts, *cubes.values()]
+    for array in [array for pair in tables for array in pair] + plans + estimates + exact:
         assert isinstance(array, np.ndarray) and not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[...] = 0
