@@ -514,7 +514,7 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
     # each release holds its own exact dicts: equal, never shared, so a caller's edit stays in its release
     assert first.exact == output.exact and first.exact is not output.exact
     assert all(first.exact[ids] is not output.exact[ids] for ids in stats)
-    ids = frozenset(stats[-1])
+    ids = stats[-1]
     cell = next(iter(output.exact[ids]))
     truth = output.exact[ids][cell]
     output.exact[ids][cell] += 1
