@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .noise import CellKey, NoiseSpec, PTable, check_bound, sample_noise
 from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
-from .tables import Cell, Microdata, StatisticKey, TableProgramme, enumerate_subtables
+from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import encode, table_counts
 
 
@@ -233,13 +233,13 @@ class NoisyOutput:
     Cells are listed in row-major cube order, the order independent draws fill.
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
     sorted ids whose axes the programme's ``category_index`` indexes, and
-    memoises into ``estimates`` the IRR sums both attack modes share, each
-    estimate cube by ``(ids, optimize)``, read-only like every memoised array,
-    and each statistic's answer map by ``("answers", ids, optimize)``, from
-    which :func:`run_averaging_attack` answers a target cell with one lookup.
-    ``exact`` keeps the pre-noise tabulations per unique statistic for harness
-    bookkeeping only: each release holds its own copies of the dicts the
-    microdata memoises.
+    memoises into ``estimates``, by ``(ids, optimize)``, each statistic's
+    read-only estimate cube with its :class:`IRRStats`, and its answer map,
+    from which :func:`run_averaging_attack` answers a target cell with one
+    lookup.  ``exact`` keeps the pre-noise tabulations per unique statistic:
+    the truth that :func:`run_averaging_attack` reports as ``true`` and counts
+    its ``mc_successes`` against.  Each release holds its own copies of the
+    dicts the microdata memoises.
     """
 
     spsn: bool
@@ -267,14 +267,14 @@ def perturb_outputs(
     in row-major order, the :meth:`TableProgramme.cells` order.
 
     Every statistic is counted once per microdata, from the first table
-    holding it, through the programme's seed-free marginal plan
+    holding it, through the programme's seed-free release plan
     (:func:`_exact_statistics`).  A cell-key release sums the record keys,
     64-bit fractions of one, into each table's uint64 cube, gathers them
     through the same plan in uint64, which wraps as sums mod one do, and
     looks every cell key up in the p-table at once.
     """
     rng = np.random.default_rng(seed) if spec is not None else None  # exact releases ignore the seed
-    _, offsets, shapes, sum_index = _marginal_plan(programme)
+    _, offsets, shapes, sum_index, labels = _release_plan(programme)
     flats, counts, exact_cubes, exact_dicts = _exact_statistics(programme, data)
     if spsn and isinstance(spec, CellKey):
         record_keys = rng.integers(0, 2**64, size=data.n, dtype=np.uint64)
@@ -289,17 +289,9 @@ def perturb_outputs(
         for key in [(None, ids) for ids in shapes] if spsn else programme.released:
             cube = exact_cubes[key[1]]
             cubes[key] = cube if spec is None else cube + sample_noise(spec, rng, cube.size).reshape(cube.shape)
-    tables = {key: dict(zip(_cell_index(programme, key[1]), cube.ravel().tolist())) for key, cube in cubes.items()}
+    tables = {key: dict(zip(labels[key[1]], cube.ravel().tolist())) for key, cube in cubes.items()}
     exact = {ids: dict(cells) for ids, cells in exact_dicts.items()}  # each release's own copies
     return NoisyOutput(spsn=spsn, tables=tables, exact=exact, cubes=cubes)
-
-
-def _cell_index(programme: TableProgramme, ids: frozenset[str]) -> dict[Cell, tuple[int, str]]:
-    """The statistic's row-major cells, each mapped to its (position, report label); once per programme."""
-    if ids not in programme.plans:
-        key = StatisticKey(ids)
-        programme.plans[ids] = {c: (i, f"{key.label()}:{'/'.join(c)}") for i, c in enumerate(programme.cells(key))}
-    return programme.plans[ids]
 
 
 def _rows(sizes: Mapping[str, int], offset: int, ids: frozenset[str], summed_out: frozenset[str]) -> np.ndarray:
@@ -327,22 +319,25 @@ def _row_groups(groups: dict) -> tuple[dict, list[np.ndarray]]:
     return blocks, index
 
 
-def _marginal_plan(programme: TableProgramme):
-    """Every statistic as rows of the tables' cubes: the release's seed-free plan, memoised on ``programme.plans``.
+def _release_plan(programme: TableProgramme):
+    """Every statistic as rows of the tables' cubes: the release plan, memoised on ``programme.plans["release"]``.
 
     Each table that first holds some statistic gets its sorted ids and an
     offset in one vector of the tables' flat cubes; each statistic, in
-    ``released`` order, gets its cube shape and a block of one vector of
-    statistic cells.  A cell's row, from :func:`_rows`, lists the cells of
-    the first table holding the statistic that sum to it.
+    ``released`` order, gets its cube shape, a block of one vector of
+    statistic cells and its label map, its cells in row-major order, each
+    mapped to its report label.  A cell's row, from :func:`_rows`, lists the
+    cells of the first table holding the statistic that sum to it.
     """
-    if "marginals" not in programme.plans:
+    if "release" not in programme.plans:
         sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
-        tables, offsets, groups, stats = [], [0], {}, {}
+        tables, offsets, groups, stats, labels = [], [0], {}, {}, {}
         for table in programme.tables:
-            new = [sub.breakdown_ids for sub in enumerate_subtables(table) if sub.breakdown_ids not in stats]
-            for stat in new:
-                stats[stat] = tuple(sizes[bid] for bid in sorted(stat))
+            new = [sub for sub in enumerate_subtables(table) if sub.breakdown_ids not in stats]
+            for key in new:
+                stat = key.breakdown_ids
+                stats[stat] = tuple(sizes[bid] for bid in key.sorted_ids)
+                labels[stat] = {c: f"{key.label()}:{'/'.join(c)}" for c in programme.cells(key)}
                 rows = _rows(sizes, offsets[-1], table.breakdown_set, table.breakdown_set - stat)
                 groups.setdefault(rows.shape[1], {})[stat] = rows
             if new:
@@ -350,8 +345,8 @@ def _marginal_plan(programme: TableProgramme):
                 offsets.append(offsets[-1] + math.prod(sizes[bid] for bid in table.breakdowns))
         blocks, index = _row_groups(groups)
         shapes = {stat: (shape, blocks[stat]) for stat, shape in stats.items()}
-        programme.plans["marginals"] = tables, offsets, shapes, index
-    return programme.plans["marginals"]
+        programme.plans["release"] = tables, offsets, shapes, index, labels
+    return programme.plans["release"]
 
 
 def _exact_statistics(programme: TableProgramme, data: Microdata):
@@ -359,10 +354,10 @@ def _exact_statistics(programme: TableProgramme, data: Microdata):
 
     Memoised on ``data.codes`` next to the table count cubes, by the planned
     tables' ids and category orders: the record cells of each table, one
-    read-only vector of every statistic's counts in the marginal plan's
+    read-only vector of every statistic's counts in the release plan's
     layout, each statistic's cube (a view of it) and its cell dict.
     """
-    tables, _, shapes, sum_index = _marginal_plan(programme)
+    tables, _, shapes, sum_index, labels = _release_plan(programme)
     key = ("exact", tuple(tuple((bid, programme.breakdowns[bid].categories) for bid in ids) for ids in tables))
     if key not in data.codes:
         encode(programme, data, sorted({bid for ids in tables for bid in ids}))  # every column in one pass
@@ -371,44 +366,43 @@ def _exact_statistics(programme: TableProgramme, data: Microdata):
         exact = np.concatenate([cells[index].sum(axis=-1) for index in sum_index])
         exact.flags.writeable = False
         cubes = {ids: exact[block].reshape(shape) for ids, (shape, block) in shapes.items()}
-        dicts = {ids: dict(zip(_cell_index(programme, ids), cube.ravel().tolist())) for ids, cube in cubes.items()}
+        dicts = {ids: dict(zip(labels[ids], cube.ravel().tolist())) for ids, cube in cubes.items()}
         data.codes[key] = flats, exact, cubes, dicts
     return data.codes[key]
 
 
-def _gather_plan(programme: TableProgramme, spsn: bool, optimize: bool):
-    """The averaging attack's two seed-free gather plans, each memoised on ``programme.plans``.
+def _attack_plan(programme: TableProgramme, spsn: bool, optimize: bool):
+    """The averaging attack's seed-free plan, memoised on ``programme.plans[(spsn, optimize)]``.
 
-    Stage one, per SPSN flag, covers every IRR sum of the plain attack, whose
-    IRRs hold those the optimized attack keeps: one :func:`_rows` row per cell
-    of the sum's statistic, of indices into the noisy cubes concatenated in
-    ``keys`` order, summed-out cells last.  Stage two, per (SPSN, optimize),
-    holds per cell one row of the places of its statistic's t IRR sums, and per
+    Each statistic's IRRs are enumerated and chosen (:func:`count_k_t`, or
+    :func:`optimize_kt2` when ``optimize``).  Stage one holds every chosen
+    IRR sum as one :func:`_rows` row per cell of the sum's statistic, of
+    indices into the noisy cubes concatenated in ``keys`` order, summed-out
+    cells last, grouped by row length.  Stage two holds per cell one row of
+    the places of its statistic's t IRR sums, grouped by t, and per
     statistic its cube shape, :class:`IRRStats` and block of the estimates.
     Shapes come from the cardinalities, never from a release.
     """
-    if ("sums", spsn) not in programme.plans:
+    if (spsn, optimize) not in programme.plans:
         sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
         stats = dict.fromkeys(stat for _, stat in programme.released)
         keys = [(None, stat) for stat in stats] if spsn else list(programme.released)
         offsets = dict(zip(keys, np.cumsum([0] + [math.prod(sizes[b] for b in key[1]) for key in keys]).tolist()))
-        irrs, groups = {}, {}
+        sums = {}
         for ids in stats:
-            irrs[ids] = enumerate_irrs(programme, StatisticKey(ids), spsn=spsn)
-            for irr in irrs[ids]:
+            found = enumerate_irrs(programme, StatisticKey(ids), spsn=spsn)
+            stats[ids] = optimize_kt2(found) if optimize else count_k_t(found)
+            for irr in stats[ids].irrs:
                 key = (irr.table_id, ids | irr.summed_out)
-                groups.setdefault(irr.k_weight, {})[(key, ids)] = _rows(sizes, offsets[key], key[1], irr.summed_out)
-        programme.plans[("sums", spsn)] = keys, irrs, *_row_groups(groups)
-    keys, irrs, sums, sum_index = programme.plans[("sums", spsn)]
-    if ("estimates", spsn, optimize) not in programme.plans:
-        shapes, groups = {}, {}
-        for ids, found in irrs.items():
-            stats = optimize_kt2(found) if optimize else count_k_t(found)
-            shapes[ids] = tuple(programme.breakdowns[bid].cardinality for bid in sorted(ids)), stats
-            first = [sums[((irr.table_id, ids | irr.summed_out), ids)].start for irr in stats.irrs]
-            groups.setdefault(stats.t, {})[ids] = np.add.outer(np.arange(math.prod(shapes[ids][0])), first)
-        programme.plans[("estimates", spsn, optimize)] = shapes, *_row_groups(groups)
-    return keys, irrs, sum_index, *programme.plans[("estimates", spsn, optimize)]
+                sums.setdefault(irr.k_weight, {})[(key, ids)] = _rows(sizes, offsets[key], key[1], irr.summed_out)
+        places, sum_index = _row_groups(sums)
+        shapes, means = {}, {}
+        for ids, chosen in stats.items():
+            shapes[ids] = tuple(sizes[bid] for bid in sorted(ids)), chosen
+            first = [places[((irr.table_id, ids | irr.summed_out), ids)].start for irr in chosen.irrs]
+            means.setdefault(chosen.t, {})[ids] = np.add.outer(np.arange(math.prod(shapes[ids][0])), first)
+        programme.plans[(spsn, optimize)] = keys, sum_index, shapes, *_row_groups(means)
+    return programme.plans[(spsn, optimize)]
 
 
 def averaging_estimates(
@@ -416,37 +410,35 @@ def averaging_estimates(
 ) -> tuple[np.ndarray, IRRStats]:
     """Averaging-attack estimates of every cell of the statistic ``ids``, with their IRRs.
 
-    A release's first call per mode fills every statistic from the gather
-    plans: one concatenation of the noisy cubes, a row sum per row length
-    into the IRR sums both modes share (``"irr_sums"``), a row mean per IRR
-    count.  Each read-only estimate cube over ``sorted(ids)`` is memoised on
-    ``output.estimates`` by ``(ids, optimize)`` with its :class:`IRRStats`:
-    an output answers for the programme it was released from.  The same pass
-    memoises each statistic's answer map by ``("answers", ids, optimize)``:
-    its :class:`IRRStats` and, per cell, the cell index's (position, label),
-    the estimate, its ``round`` (half to even, a Python int of any size) and
-    the truth from ``output.exact``.
+    A release's first call per mode fills every statistic from the mode's
+    attack plan: one concatenation of the noisy cubes, a row sum per row
+    length into the chosen IRR sums, a row mean per IRR count.  Each
+    statistic gets one entry on ``output.estimates`` by ``(ids, optimize)``:
+    its read-only estimate cube over ``sorted(ids)`` with its
+    :class:`IRRStats`, which every call returns as the same object, and its
+    answer map, per cell the report label from the release plan, the
+    estimate, its ``round`` (half to even, a Python int of any size) and the
+    truth from ``output.exact``.  An output answers for the programme it was
+    released from.
     """
     if (ids, optimize) not in output.estimates:
-        keys, irrs, sum_index, shapes, cells, mean_index = _gather_plan(programme, output.spsn, optimize)
-        if ids not in irrs:
+        keys, sum_index, shapes, cells, mean_index = _attack_plan(programme, output.spsn, optimize)
+        if ids not in shapes:
             enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)  # names the unknown id or missing table
-        if "irr_sums" not in output.estimates:
-            flat = np.concatenate([output.cubes[key].ravel() for key in keys])
-            output.estimates["irr_sums"] = np.concatenate([flat[index].sum(axis=-1) for index in sum_index])
-            output.estimates["irr_sums"].flags.writeable = False
-        estimates = np.concatenate([output.estimates["irr_sums"][index].mean(axis=-1) for index in mean_index])
+        flat = np.concatenate([output.cubes[key].ravel() for key in keys])
+        sums = np.concatenate([flat[index].sum(axis=-1) for index in sum_index])
+        estimates = np.concatenate([sums[index].mean(axis=-1) for index in mean_index])
         estimates.flags.writeable = False
         values = estimates.tolist()
         recovered = list(map(round, values))
+        labels = _release_plan(programme)[-1]
         for stat, (shape, stats) in shapes.items():
             block, exact = cells[stat], output.exact[stat]
-            output.estimates[(stat, optimize)] = estimates[block].reshape(shape), stats
-            answers = zip(_cell_index(programme, stat).items(), values[block], recovered[block])
-            output.estimates[("answers", stat, optimize)] = stats, {
-                cell: (place, value, rounded, exact[cell]) for (cell, place), value, rounded in answers
+            answers = zip(labels[stat].items(), values[block], recovered[block])
+            output.estimates[(stat, optimize)] = (estimates[block].reshape(shape), stats), {
+                cell: (label, value, rounded, exact[cell]) for (cell, label), value, rounded in answers
             }
-    return output.estimates[(ids, optimize)]
+    return output.estimates[(ids, optimize)][0]
 
 
 def run_averaging_attack(
@@ -456,17 +448,17 @@ def run_averaging_attack(
 
     The target's answer is one lookup in its statistic's answer map, which
     :func:`averaging_estimates` fills, raising as :func:`enumerate_irrs` for a
-    statistic the release lacks: the report label from the cell index in
-    ``programme.plans``, the estimate, its rounding and the truth from ``exact``.
+    statistic the release lacks: the report label, the estimate, its rounding
+    and the truth from ``exact``.
     """
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")
     ids = target.breakdown_ids
-    if ("answers", ids, optimize) not in output.estimates:
+    if (ids, optimize) not in output.estimates:
         averaging_estimates(programme, output, ids, optimize)
-    stats, cells = output.estimates[("answers", ids, optimize)]
+    (_, stats), cells = output.estimates[(ids, optimize)]
     try:
-        (_, label), estimate, recovered, truth = cells[target.cell]
+        label, estimate, recovered, truth = cells[target.cell]
     except KeyError:
         programme.validate_key(target)  # names the value that is not a category
         raise

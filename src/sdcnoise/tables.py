@@ -8,10 +8,11 @@ Tabulation counts integer category codes into a row-major numpy cube with
 one axis per sorted breakdown id; a marginal sums the dropped axes.
 
 Everything here is immutable after construction.  A :class:`Microdata`
-memoises its category codes, table cubes and a release's exact statistics,
-a :class:`TableProgramme` its release plans; two tasks filling the same memo at once compute equal values,
-so a race only repeats work, and tabulation is safe to use from concurrent
-tasks.
+memoises its category codes and table cubes in ``codes``, and the release
+pipeline (:mod:`sdcnoise.attacks`) owns the rest of ``codes`` and every
+:class:`TableProgramme`'s ``plans``; two tasks filling the same memo at once
+compute equal values, so a race only repeats work, and tabulation is safe to
+use from concurrent tasks.
 """
 
 from __future__ import annotations
@@ -100,12 +101,9 @@ class TableProgramme:
     Two facts are derived once: ``released``, every (table id, statistic ids)
     pair of a full release in table order and then :func:`enumerate_subtables`
     order, and ``category_index``, each breakdown's category-to-position map.
-    ``plans`` starts empty; the release pipeline memoises there, on first use,
-    what no seed changes: each statistic's cell index, its cells in the
-    row-major order that independent draws fill, each mapped to its (position,
-    report label), the marginal plan that sums every statistic from the first
-    table holding it, and the averaging attack's two gather plans, of every
-    IRR sum per SPSN flag and of every estimate per (SPSN, optimize).
+    ``plans`` starts empty: a memo owned by the release pipeline
+    (:mod:`sdcnoise.attacks`), which fills it on first use with what no seed
+    changes.
     """
 
     def __init__(self, breakdowns: Iterable[Breakdown], tables: Iterable[TableSpec]):
@@ -212,9 +210,9 @@ class Microdata:
     """Person records; one categorical value per breakdown of the catalog.
 
     ``columns`` and ``records`` are stored as tuples, so the records cannot
-    change under the category codes and table cubes that :func:`encode` and
-    :func:`table_counts` memoise in ``codes``, nor under the exact statistics
-    a release memoises there.
+    change under the memos in ``codes``: the category codes and table cubes
+    of :func:`encode` and :func:`table_counts`, and what the release pipeline
+    (:mod:`sdcnoise.attacks`) memoises there.
     """
 
     columns: tuple[str, ...]
@@ -308,12 +306,6 @@ def table_counts(
         flat.flags.writeable = counts.flags.writeable = False
         data.codes[key] = flat, counts
     return data.codes[key]
-
-
-def marginal(cube: np.ndarray, ids: Sequence[str], keep: frozenset[str]) -> np.ndarray:
-    """Sum the cube over ``ids`` down to the axes in ``keep``, kept in order; uint64 wraps."""
-    axes = tuple(i for i, bid in enumerate(ids) if bid not in keep)
-    return np.asarray(cube.sum(axis=axes, dtype=cube.dtype))
 
 
 def tabulate(

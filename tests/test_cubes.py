@@ -43,7 +43,6 @@ from sdcnoise.tables import (
     cube_index,
     encode,
     enumerate_subtables,
-    marginal,
     parse_programme,
     read_microdata,
     table_counts,
@@ -88,6 +87,12 @@ def per_record_keys(programme, data, key, record_keys):
     for record, fraction in zip(data.records, record_keys):
         members[tuple(record[i] for i in columns)].append(RecordKey(int(fraction)))
     return members
+
+
+def marginal(cube, ids, keep):
+    """Sum the cube over ``ids`` down to the axes in ``keep``, kept in order; uint64 wraps."""
+    axes = tuple(i for i, bid in enumerate(ids) if bid not in keep)
+    return np.asarray(cube.sum(axis=axes, dtype=cube.dtype))
 
 
 def key_cube(programme, data, ids, record_keys):
@@ -436,8 +441,20 @@ def test_memoised_releases_and_attacks_equal_fresh_ones(case, rounds):
         assert release_bytes(output) == release_bytes(perturb_outputs(*fresh_copies(programme, data), spec, seed, spsn))
 
 
+@pytest.mark.parametrize("spec,spsn", [(CellKey(2.0, 5), True), (Laplace(0.5), False)])
+def test_attack_modes_share_no_memo(spec, spsn):
+    """An equal release attacked optimized-first or plain-first gives the same cubes and reports."""
+    results = []
+    for order in ((True, False), (False, True)):
+        programme, data = fresh_copies(DESK, desk_data())
+        output = perturb_outputs(programme, data, spec, 5, spsn=spsn)
+        stats = list(output.exact)
+        results.append({optimize: [attack_bytes(programme, output, ids, optimize) for ids in stats] for optimize in order})
+    assert results[0] == results[1]
+
+
 class CountingCubes(dict):
-    """Noisy cubes that count their reads: a release's IRR sums read each cube once."""
+    """Noisy cubes that count their reads: each mode's IRR sums read each cube once."""
 
     reads = 0
 
@@ -468,8 +485,9 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
     stats = [key.breakdown_ids for key in statistic_universe(programme)]
 
     def attack_every_cell(output, optimize):
+        labels = programme.plans["release"][-1]
         for ids in stats:
-            for cell in programme.plans[ids]:
+            for cell in labels[ids]:
                 run_averaging_attack(programme, output, StatisticKey(ids, cell), optimize)
 
     def release_and_attack(seed):
@@ -477,30 +495,34 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
         output = NoisyOutput(output.spsn, output.tables, output.exact, CountingCubes(output.cubes))
         cold = calls["averaging_estimates"]
         attack_every_cell(output, False)
-        # the IRR sums read every noisy cube once, into the release's one IRR-sum vector
+        # the plain mode's IRR sums read every noisy cube once
         assert output.cubes.reads == len(output.cubes)
-        plain_sums = dict(output.estimates)
+        plain = dict(output.estimates)
         attack_every_cell(output, True)
-        # the optimized attack reads no cube: every IRR it keeps was summed by the plain attack
-        assert output.cubes.reads == len(output.cubes)
-        assert all(output.estimates[key] is value for key, value in plain_sums.items())
+        # the optimized mode sums its own IRRs, reading every cube once more, and leaves the plain entries be
+        assert output.cubes.reads == 2 * len(output.cubes)
+        assert all(output.estimates[key] is value for key, value in plain.items())
         # the first target of a mode estimates every statistic; every later target reads them back
         assert calls["averaging_estimates"] - cold == 2
         for optimize in (False, True):
             attack_every_cell(output, optimize)
         assert calls["averaging_estimates"] - cold == 2
+        assert output.cubes.reads == 2 * len(output.cubes)
+        assert output.estimates.keys() == {(ids, optimize) for ids in stats for optimize in (False, True)}
         return output
 
     first = release_and_attack(1)
     assert calls["cube_index"] == calls["bincount"] == len(programme.tables)
-    assert calls["enumerate_irrs"] == len(stats)  # once per statistic, for the plain and the optimized plan
-    assert calls["cells"] == len(stats)  # one cell index per statistic, shared by release and attack
+    assert calls["enumerate_irrs"] == 2 * len(stats)  # once per statistic and mode
+    assert calls["cells"] == len(stats)  # one label map per statistic, shared by release and attack
+    assert programme.plans.keys() == {"release", (spsn, False), (spsn, True)}
     plans = dict(programme.plans)
 
     def seed_free_parts():
-        """The marginal plan's index arrays, and the table cells, exact statistic vector, cubes and dicts."""
+        """The release plan's index arrays and label maps, and the table cells, exact statistic vector, cubes and dicts."""
+        _, _, _, index, labels = programme.plans["release"]
         flats, counts, cubes, dicts = attacks_module._exact_statistics(programme, data)
-        return [*programme.plans["marginals"][-1], *flats, counts, *cubes.values(), *dicts.values()]
+        return [*index, *labels.values(), *flats, counts, *cubes.values(), *dicts.values()]
 
     parts = seed_free_parts()
     calls.update(dict.fromkeys(calls, 0))
@@ -528,19 +550,23 @@ def test_memoised_arrays_are_read_only():
     for ids in output.exact:
         for optimize in (False, True):
             averaging_estimates(programme, output, ids, optimize)
+    assert programme.plans.keys() == {"release", (False, False), (False, True)}
+    assert output.estimates.keys() == {(ids, optimize) for ids in output.exact for optimize in (False, True)}
     tables = [value for key, value in data.codes.items() if isinstance(key[0], tuple)]
     assert len(tables) == len(programme.tables)
-    for ids in output.exact:  # the cell index: row-major cells, each with its position and report label
-        index, cells = programme.plans[ids], programme.cells(StatisticKey(ids))
-        assert list(index) == cells
-        assert [position for position, _ in index.values()] == list(range(len(cells)))
+    _, _, _, index, labels = programme.plans["release"]
+    assert list(labels) == list(output.exact)
+    for ids, label_map in labels.items():  # row-major cells, each mapped to its report label
+        cells = programme.cells(StatisticKey(ids))
+        assert list(label_map) == cells
         prefix = StatisticKey(ids).label() + ":"
-        assert [label for _, label in index.values()] == [prefix + "/".join(cell) for cell in cells]
-    # the marginal and gather plans' index arrays, the release's IRR-sum vector and every estimate cube
-    plans = [array for key in ["marginals", ("sums", False), ("estimates", False, False), ("estimates", False, True)]
-             for array in programme.plans[key][-1]]
-    estimates = [output.estimates["irr_sums"]]
-    estimates += [output.estimates[(ids, optimize)][0] for ids in output.exact for optimize in (False, True)]
+        assert list(label_map.values()) == [prefix + "/".join(cell) for cell in cells]
+    # the release plan's and both attack plans' index arrays and every estimate cube
+    plans = [*index]
+    for optimize in (False, True):
+        _, sum_index, _, _, mean_index = programme.plans[(False, optimize)]
+        plans += [*sum_index, *mean_index]
+    estimates = [output.estimates[(ids, optimize)][0][0] for ids in output.exact for optimize in (False, True)]
     # the exact statistic vector and its cubes, which an exact release hands out as they are
     _, counts, cubes, _ = attacks_module._exact_statistics(programme, data)
     exact_release = perturb_outputs(programme, data, None, 0, spsn=False)
