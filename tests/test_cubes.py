@@ -448,8 +448,8 @@ def test_attack_modes_share_no_memo(spec, spsn):
     for order in ((True, False), (False, True)):
         programme, data = fresh_copies(DESK, desk_data())
         output = perturb_outputs(programme, data, spec, 5, spsn=spsn)
-        stats = list(output.exact)
-        results.append({optimize: [attack_bytes(programme, output, ids, optimize) for ids in stats] for optimize in order})
+        results.append({optimize: [attack_bytes(programme, output, ids, optimize) for ids in output.exact]
+                        for optimize in order})
     assert results[0] == results[1]
 
 
@@ -519,7 +519,7 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
     plans = dict(programme.plans)
 
     def seed_free_parts():
-        """The release plan's index arrays and label maps, and the table cells, exact statistic vector, cubes and dicts."""
+        """The release plan's index arrays and label maps, and the table cells and exact statistics."""
         _, _, _, index, labels = programme.plans["release"]
         flats, counts, cubes, dicts = attacks_module._exact_statistics(programme, data)
         return [*index, *labels.values(), *flats, counts, *cubes.values(), *dicts.values()]
