@@ -22,6 +22,10 @@ from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
 from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import encode, table_counts
 
+# The most uniforms a Monte Carlo harness draws at once: its memory stays
+# bounded however many tuples, trials or draws per trial it simulates.
+_BLOCK = 2**16
+
 
 def _recorded_seed(seed) -> int | None:
     """An integer seed, numpy's included, as the int a report records; any other seed as None."""
@@ -109,14 +113,19 @@ def bound_disclosure_mc(ptable: PTable, m: int, streams: int, seed) -> AttackRep
     """Fraction of streams of m noisy constrained 3-tuples (f, m, t = f + m) revealing the bound E.
 
     The attacker's running estimate max ceil(|f + m - t| / 3) reaches E
-    exactly when some residual exceeds 3(E - 1) in magnitude.
+    exactly when some residual exceeds 3(E - 1) in magnitude.  The tuples are
+    read from one draw stream in (stream, tuple) order, in blocks of at most
+    ``_BLOCK`` draws, so memory holds one block and one flag per stream.
     """
     if m < 1 or streams < 1:
         raise DomainError("stream length and count must be positive")
     rng = np.random.default_rng(seed)
-    draws = ptable.quantile(rng.random((streams, m, 3)))
-    residual = draws[:, :, 0] + draws[:, :, 1] - draws[:, :, 2]
-    revealed = np.any(np.abs(residual) > 3 * (ptable.bound - 1), axis=1)
+    revealed = np.zeros(streams, dtype=bool)
+    tuples, rows = streams * m, _BLOCK // 3
+    for start in range(0, tuples, rows):
+        draws = ptable.quantile(rng.random((min(rows, tuples - start), 3)))
+        hit = np.flatnonzero(np.abs(draws[:, 0] + draws[:, 1] - draws[:, 2]) > 3 * (ptable.bound - 1))
+        revealed[(start + hit) // m] = True
     return AttackReport(
         attack="BoundDisclosure",
         probability=float(p1_exact(ptable.probabilities, ptable.bound)),
@@ -155,13 +164,22 @@ def margin_exploit_scan(
 
 
 def margin_exploit_mc(ptable: PTable, count: int, seed) -> AttackReport:
-    """Simulated scan of 3-tuples (f, m, f + m); disclosed entries carry recovered and true counts."""
+    """Simulated scan of 3-tuples (f, m, f + m); disclosed entries carry recovered and true counts.
+
+    All true counts are drawn first; the noise then comes from the same draw
+    stream in blocks of at most ``_BLOCK`` draws, each block scanned in turn.
+    """
+    if count < 1:
+        raise DomainError("tuple count must be positive")
     rng = np.random.default_rng(seed)
     true_internal = rng.integers(0, 50, size=(count, 2))
     true_total = true_internal.sum(axis=1)
-    noise = ptable.quantile(rng.random((count, 3)))
-    observed = np.column_stack([true_internal, true_total]) + noise
-    found = margin_exploit_scan(observed.tolist(), ptable.bound)
+    found, rows = [], _BLOCK // 3
+    for start in range(0, count, rows):
+        block = slice(start, start + rows)
+        noise = ptable.quantile(rng.random((min(rows, count - start), 3)))
+        observed = np.column_stack([true_internal[block], true_total[block]]) + noise
+        found += [(start + idx, row) for idx, row in margin_exploit_scan(observed.tolist(), ptable.bound)]
     disclosed = [
         {
             "index": idx,
@@ -197,13 +215,17 @@ def averaging_success(variance: float, k: float, t: float, xi: float = 0.5) -> f
 def averaging_mc(
     ptable: PTable, k: int, t: int, trials: int, seed, xi: float = 0.5
 ) -> AttackReport:
-    """Sampled success rate of averaging t noise sums totalling k draws."""
+    """Sampled success rate of averaging t noise sums totalling k draws.
+
+    The trials' draws are read from one draw stream in blocks of at most
+    ``_BLOCK`` draws: several trials a block, or a trial over several blocks.
+    """
     if k < t or t < 1 or trials < 1:
         raise DomainError("need k >= t >= 1 and positive trials")
     probability = averaging_success(ptable.variance(), k, t, xi)  # rejects xi before any draw
     rng = np.random.default_rng(seed)
-    # trials per draw matrix, about 2**16 draws; a trial of more draws sums column blocks of 2**16
-    successes, chunk, block = 0, max(1, 2**16 // k), min(k, 2**16)
+    # trials per draw matrix, about one block of draws; a trial of more draws sums column blocks
+    successes, chunk, block = 0, max(1, _BLOCK // k), min(k, _BLOCK)
     for done in range(0, trials, chunk):
         blocks = (rng.random((min(chunk, trials - done), min(block, k - c))) for c in range(0, k, block))
         # the mean of the t sums is the total over t, however the k draws split

@@ -11,8 +11,9 @@ cell for external heat-map plotting.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,11 +119,16 @@ def synthetic_areas(count: int, seed) -> list[AreaRecord]:
     ]
 
 
+def _area_counts(areas: Iterable[AreaRecord], dtype) -> np.ndarray:
+    """f, m and t of every area, area by area, in one flat array of ``dtype``."""
+    return np.fromiter(itertools.chain.from_iterable((a.f, a.m, a.t) for a in areas), dtype=dtype)
+
+
 def observations_histogram(
     areas: Sequence[AreaRecord], edges: Sequence[float]
 ) -> CountHistogram:
     """Histogram over all single observations (f, m and t separately), zeros excluded."""
-    values = np.array([(a.f, a.m, a.t) for a in areas], dtype=np.int64).reshape(-1)
+    values = _area_counts(areas, np.int64)
     # searchsorted "left" finds the bin i with edges[i] < v <= edges[i + 1] at i + 1
     bins = np.searchsorted(np.asarray(edges), values[values > 0], side="left") - 1
     nbins = max(len(edges) - 1, 0)
@@ -149,7 +155,7 @@ def sample_distortions(
     """Perturb f, m, t independently and tally threshold exceedances."""
     if not re_thresholds:
         raise DomainError("need at least one relative-error threshold")
-    truth = np.array([[a.f, a.m, a.t] for a in areas], dtype=float).reshape(-1, 3)
+    truth = _area_counts(areas, float).reshape(-1, 3)
     noise = np.asarray(sample_noise(spec, seed, truth.size) if areas else (), dtype=float).reshape(truth.shape)
     positive = truth > 0
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -233,23 +234,101 @@ def test_averaging_mc_rejects_xi_before_sampling(monkeypatch):
             averaging_mc(gen_ptable(2.0, 10), 60000, 100, 2000, 1, xi=xi)
 
 
+class Recording(np.random.Generator):
+    """The generator default_rng(seed) builds, logging the size of every ``random`` call.
+
+    default_rng hands a Generator back as it is.
+    """
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.sizes = []
+
+    def random(self, size=None, *args, **kwargs):
+        self.sizes.append(math.prod(size))
+        return super().random(size, *args, **kwargs)
+
+
 def test_averaging_mc_sums_a_large_k_in_blocks_of_the_same_draw_stream():
     ptable, k, t, trials = gen_ptable(2.0, 10), 3 * 2**16 + 7, 100, 4
     # unchunked reference: one (1, k) draw per trial from the same generator
     rng = np.random.default_rng(9)
     sums = [ptable.quantile(rng.random((1, k))).sum() for _ in range(trials)]
     want = sum(abs(total / t) < 0.5 for total in sums)
-
-    class Recording(np.random.Generator):  # default_rng hands a Generator back as it is
-        def random(self, size=None, *args, **kwargs):
-            self.sizes.append(math.prod(size))
-            return super().random(size, *args, **kwargs)
-
-    recording = Recording(np.random.PCG64(9))  # the bit generator default_rng(9) builds
-    recording.sizes = []
+    recording = Recording(9)
     report = averaging_mc(ptable, k, t, trials, recording)
     assert (report.mc_trials, report.mc_successes) == (trials, want)
     assert sum(recording.sizes) == k * trials and max(recording.sizes) <= 2**16
+
+
+def bound_disclosure_by_matrix(ptable, m, streams, seed):
+    """The one-matrix reference: every stream's m tuples drawn as one (streams, m, 3) array."""
+    draws = ptable.quantile(np.random.default_rng(seed).random((streams, m, 3)))
+    residual = draws[:, :, 0] + draws[:, :, 1] - draws[:, :, 2]
+    return int(np.any(np.abs(residual) > 3 * (ptable.bound - 1), axis=1).sum())
+
+
+def margin_exploit_by_matrix(ptable, count, seed):
+    """The one-matrix reference: all true counts, then all (count, 3) noise, scanned as one list."""
+    rng = np.random.default_rng(seed)
+    true_internal = rng.integers(0, 50, size=(count, 2))
+    true_total = true_internal.sum(axis=1)
+    observed = np.column_stack([true_internal, true_total]) + ptable.quantile(rng.random((count, 3)))
+    return [
+        {"index": i, "recovered": list(r), "true": [*map(int, true_internal[i]), int(true_total[i])]}
+        for i, r in margin_exploit_scan(observed.tolist(), ptable.bound)
+    ]
+
+
+# 2**16 // 3 = 21 845 tuples a block: streams of 7 or 5 003 tuples straddle block
+# boundaries, and neither total is a multiple of the block
+@pytest.mark.parametrize("variance,bound,m,streams", [(uniform_max_variance(2), 2, 7, 10**4), (1.0, 3, 5003, 13)])
+def test_bound_disclosure_mc_reads_one_draw_stream_in_blocks(variance, bound, m, streams):
+    ptable = gen_ptable(variance, bound)
+    recording = Recording(21)
+    report = bound_disclosure_mc(ptable, m, streams, recording)
+    assert 0 < report.mc_successes < streams
+    assert report.mc_successes == bound_disclosure_by_matrix(ptable, m, streams, 21)
+    assert sum(recording.sizes) == 3 * m * streams and max(recording.sizes) <= 2**16
+    assert len(recording.sizes) > 1
+
+
+@pytest.mark.parametrize("count", [2 * 21845 + 6310, 21845])
+def test_margin_exploit_mc_reads_one_draw_stream_in_blocks(count):
+    ptable = gen_ptable(uniform_max_variance(2), 2)
+    recording = Recording(23)
+    report = margin_exploit_mc(ptable, count, recording)
+    assert report.mc_successes > 0
+    assert report.disclosed == margin_exploit_by_matrix(ptable, count, 23)
+    assert (report.mc_trials, report.mc_successes) == (count, len(report.disclosed))
+    assert sum(recording.sizes) == 3 * count and max(recording.sizes) <= 2**16
+
+
+def test_bound_disclosure_mc_memory_does_not_grow_with_the_tuples():
+    ptable = gen_ptable(uniform_max_variance(2), 2)
+    bound_disclosure_mc(ptable, 10, 10, 0)  # p-table memos and first-call set-up outside the trace
+    tracemalloc.start()
+    try:
+        bound_disclosure_mc(ptable, 1000, 1000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # one (1000, 1000, 3) matrix of uniforms alone is 24 MB
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda pt, size: bound_disclosure_mc(pt, size, 10, 0),
+        lambda pt, size: bound_disclosure_mc(pt, 10, size, 0),
+        lambda pt, size: margin_exploit_mc(pt, size, 0),
+        lambda pt, size: averaging_mc(pt, 20, 4, size, 0),
+    ],
+)
+@pytest.mark.parametrize("size", [0, -1])
+def test_mc_harnesses_reject_a_non_positive_size(run, size):
+    with pytest.raises(DomainError, match="positive"):
+        run(gen_ptable(2.0, 3), size)
 
 
 def test_attack_report_validation():

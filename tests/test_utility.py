@@ -104,6 +104,18 @@ def test_observations_histogram_excludes_zeros():
     assert hist.bin_counts == (2,)  # m and t; the zero f is dropped
 
 
+def test_observations_histogram_of_no_areas_is_all_zero():
+    assert observations_histogram([], [0, 10, 20, 50]).bin_counts == (0, 0, 0)
+
+
+def test_area_counts_equal_the_per_area_arrays():
+    areas = synthetic_areas(3000, 8)
+    for dtype in (np.int64, float):
+        flat = utility._area_counts(areas, dtype)
+        per_area = np.array([(a.f, a.m, a.t) for a in areas], dtype=dtype).reshape(-1)
+        assert flat.dtype == per_area.dtype and np.array_equal(flat, per_area)
+
+
 def histogram_by_loop(areas, edges):
     """The record-by-record reference: each positive value in its (edge[i], edge[i+1]] bin."""
     counts = [0] * (len(edges) - 1)
