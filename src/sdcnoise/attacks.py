@@ -328,7 +328,7 @@ def _rows(sizes: Mapping[str, int], offset: int, ids: frozenset[str], summed_out
 
 
 def _row_groups(groups: dict) -> tuple[dict, list[np.ndarray]]:
-    """Blocks of index rows laid out by row length: each block's slice, and one read-only index per length.
+    """Blocks of index rows laid out by group key: each block's slice, and one read-only index per key.
 
     C-contiguous, as a gather keeps its index's layout and only C order reduces a row as a contiguous slice.
     """
@@ -397,33 +397,29 @@ def _attack_plan(programme: TableProgramme, spsn: bool, optimize: bool):
     """The averaging attack's seed-free plan, memoised on ``programme.plans[(spsn, optimize)]``.
 
     Each statistic's IRRs are enumerated and chosen (:func:`count_k_t`, or
-    :func:`optimize_kt2` when ``optimize``).  Stage one holds every chosen
-    IRR sum as one :func:`_rows` row per cell of the sum's statistic, of
-    indices into the noisy cubes concatenated in ``keys`` order, summed-out
-    cells last, grouped by row length.  Stage two holds per cell one row of
-    the places of its statistic's t IRR sums, grouped by t, and per
-    statistic its cube shape, :class:`IRRStats` and block of the estimates.
-    Shapes come from the cardinalities, never from a release.
+    :func:`optimize_kt2` when ``optimize``).  Per cell of a statistic one row
+    lists the k indices, into the noisy cubes concatenated in ``keys`` order,
+    that its t chosen IRRs sum: their :func:`_rows` rows side by side.  Rows
+    are grouped by the statistic's (k, t); per statistic the plan holds its
+    cube shape, :class:`IRRStats` and block of the estimates.  Shapes come
+    from the cardinalities, never from a release.
     """
     if (spsn, optimize) not in programme.plans:
         sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
         stats = dict.fromkeys(stat for _, stat in programme.released)
         keys = [(None, stat) for stat in stats] if spsn else list(programme.released)
         offsets = dict(zip(keys, np.cumsum([0] + [math.prod(sizes[b] for b in key[1]) for key in keys]).tolist()))
-        sums = {}
+        rows, shapes = {}, {}
         for ids in stats:
             found = enumerate_irrs(programme, StatisticKey(ids), spsn=spsn)
-            stats[ids] = optimize_kt2(found) if optimize else count_k_t(found)
-            for irr in stats[ids].irrs:
-                key = (irr.table_id, ids | irr.summed_out)
-                sums.setdefault(irr.k_weight, {})[(key, ids)] = _rows(sizes, offsets[key], key[1], irr.summed_out)
-        places, sum_index = _row_groups(sums)
-        shapes, means = {}, {}
-        for ids, chosen in stats.items():
+            chosen = optimize_kt2(found) if optimize else count_k_t(found)
+            sources = [((irr.table_id, ids | irr.summed_out), irr.summed_out) for irr in chosen.irrs]
+            rows.setdefault((chosen.k, chosen.t), {})[ids] = np.concatenate(
+                [_rows(sizes, offsets[key], key[1], summed_out) for key, summed_out in sources], axis=1
+            )
             shapes[ids] = tuple(sizes[bid] for bid in sorted(ids)), chosen
-            first = [places[((irr.table_id, ids | irr.summed_out), ids)].start for irr in chosen.irrs]
-            means.setdefault(chosen.t, {})[ids] = np.add.outer(np.arange(math.prod(shapes[ids][0])), first)
-        programme.plans[(spsn, optimize)] = keys, sum_index, shapes, *_row_groups(means)
+        blocks, index = _row_groups(rows)
+        programme.plans[(spsn, optimize)] = keys, shapes, blocks, list(zip(sorted(rows), index))
     return programme.plans[(spsn, optimize)]
 
 
@@ -433,8 +429,8 @@ def averaging_estimates(
     """Averaging-attack estimates of every cell of the statistic ``ids``, with their IRRs.
 
     A release's first call per mode fills every statistic from the mode's
-    attack plan: one concatenation of the noisy cubes, a row sum per row
-    length into the chosen IRR sums, a row mean per IRR count.  Each
+    attack plan: one concatenation of the noisy cubes, then per (k, t) group
+    one gather of each cell's k IRR cells, their row sum over t.  Each
     statistic gets one entry on ``output.estimates`` by ``(ids, optimize)``:
     its read-only estimate cube over ``sorted(ids)`` with its
     :class:`IRRStats`, which every call returns as the same object, and its
@@ -444,12 +440,11 @@ def averaging_estimates(
     released from.
     """
     if (ids, optimize) not in output.estimates:
-        keys, sum_index, shapes, cells, mean_index = _attack_plan(programme, output.spsn, optimize)
+        keys, shapes, cells, groups = _attack_plan(programme, output.spsn, optimize)
         if ids not in shapes:
             enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)  # names the unknown id or missing table
         flat = np.concatenate([output.cubes[key].ravel() for key in keys])
-        sums = np.concatenate([flat[index].sum(axis=-1) for index in sum_index])
-        estimates = np.concatenate([sums[index].mean(axis=-1) for index in mean_index])
+        estimates = np.concatenate([flat[rows].sum(axis=-1) / t for (_, t), rows in groups])
         estimates.flags.writeable = False
         values = estimates.tolist()
         recovered = list(map(round, values))

@@ -59,13 +59,13 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-# The most rows a command builds: grid cells, epsilon values, histogram bins or
-# simulated tuples, checked from the option values before anything is allocated.
-# A bound-disclosure simulation holds one block of draws at a time, so for it the
-# cap limits run time (about 0.1 s per 10**6 tuples on a 2-core Xeon VM), not memory.
+# The most rows a command builds: grid cells, epsilon values or histogram bins,
+# checked from the option values before anything is allocated.
 _MAX_ROWS = 10**6
-# The most noise values one averaging simulation draws (k * trials): about 40 s at the
-# 2.5 * 10**7 draws/s of a 2-core Xeon VM.
+# The most noise values one simulation draws, averaging (k * trials) or bound
+# disclosure (3 per tuple, streams * m * 3).  Both hold one block of draws at a
+# time, so the cap limits run time, not memory: about 40 s at the 2.5 * 10**7
+# draws/s of a 2-core Xeon VM.
 _MAX_DRAWS = 10**9
 
 
@@ -250,8 +250,8 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     p1 = float(attacks.p1_exact(ptable.probabilities, bound))
     m = attacks.tuples_needed(p1, alpha)
     if streams > 0:
-        if not streams * m <= _MAX_ROWS:  # m = inf when p1 = 0
-            raise DomainError(f"p1 = {p1!r}, m = {m:.4g}: {streams} streams simulate more than {_MAX_ROWS} tuples")
+        if not streams * m * 3 <= _MAX_DRAWS:  # m = inf when p1 = 0
+            raise DomainError(f"p1 = {p1!r}, m = {m:.4g}: {streams} streams draw more than {_MAX_DRAWS} noise values")
         seed = _resolve_seed(seed)
         report = attacks.bound_disclosure_mc(ptable, int(m), streams, seed)
     else:

@@ -45,17 +45,15 @@ def _geometric_ratio(epsilon: float) -> float:
     return q
 
 
-def laplace_variance(epsilon: float, delta_sens: int = 1) -> float:
-    """Variance 2*(delta/epsilon)^2 of Laplace noise calibrated to sensitivity."""
+def laplace_variance(epsilon: float) -> float:
+    """Variance 2*(1/epsilon)^2 of Laplace noise of scale 1/epsilon (sensitivity 1)."""
     check_epsilon(epsilon)
-    if delta_sens < 1:
-        raise DomainError(f"sensitivity must be >= 1, got {delta_sens}")
     try:
-        variance = 2.0 * (delta_sens / epsilon) ** 2  # a subnormal epsilon gives inf without raising
+        variance = 2.0 * (1 / epsilon) ** 2  # a subnormal epsilon gives inf without raising
     except OverflowError:
         variance = math.inf
     if variance == math.inf:
-        raise DomainError(f"Laplace variance 2*({delta_sens}/{epsilon})^2 overflows")
+        raise DomainError(f"Laplace variance 2*(1/{epsilon})^2 overflows")
     return variance
 
 

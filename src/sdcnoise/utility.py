@@ -160,19 +160,20 @@ def sample_distortions(
     positive = truth > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(positive, np.abs(noise) / np.where(positive, truth, 1.0), 0.0)
+    same_sign = np.all(noise > 0, axis=1) | np.all(noise < 0, axis=1)  # neither term depends on the threshold
+    zero_hits = int(((~positive) & (noise != 0)).sum())
     tallies = []
     for threshold in re_thresholds:
         if not threshold > 0:
             raise DomainError(f"relative error threshold must be positive, got {threshold}")
         exceed = (rel > threshold) & positive
-        same_sign = (np.all(noise > 0, axis=1)) | (np.all(noise < 0, axis=1))
         broadband = np.all(exceed, axis=1) & same_sign
         tallies.append(
             DistortionTally(
                 re_threshold=float(threshold),
                 single=int(exceed.sum()),
                 broadband=int(broadband.sum()),
-                zero_hits=int(((~positive) & (noise != 0)).sum()),
+                zero_hits=zero_hits,
             )
         )
     return tallies

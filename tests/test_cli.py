@@ -301,8 +301,8 @@ EXIT_PROBES = {
                           "--trials", "20", "--seed", "1", "--xi", "nan"], 2),
     "sample-areas-header-only": (["utility", "sample", "--mech", "laplace", "--eps", "0.1", "--re", "0.5",
                                   "--seed", "1", "--areas", "{tmp}/header_only.csv"], 0),
-    # a command builds at most 10**6 rows (grid cells, eps values, histogram bins, simulated
-    # tuples), checked from the options: a grid or histogram over it is a usage error ...
+    # a command builds at most 10**6 rows (grid cells, eps values, histogram bins), checked
+    # from the options: a grid or histogram over it is a usage error ...
     "scan-eps-step-tiny": (["scan", "eps", "--kt2", "0.1", "--t-lau", "68", "--eps-step", "1e-15"], 1),
     "scan-e-max-huge": (["scan", "ve", "--m-avail", "1", "--e-max", "1" + "0" * 20], 1),
     "scan-ve-v-step-tiny": (["scan", "ve", "--m-avail", "1", "--v-step", "0.000001"], 1),
@@ -312,7 +312,8 @@ EXIT_PROBES = {
     # an averaging simulation of more than 10**9 draws (k * trials) is a usage error too ...
     "averaging-draws-huge": (["attack", "averaging", "--v", "2", "--e", "5", "--k", "100000000000", "--t", "100",
                               "--trials", "2", "--seed", "1"], 1),
-    # ... and a bound-disclosure simulation of more than 10**6 tuples (streams * m) a domain error
+    # ... and a bound-disclosure simulation of more than 10**9 draws (3 per tuple, streams * m * 3)
+    # a domain error: m is 1.1 * 10**10 at E = 6, and 7 for uniform E = 2
     "bound-disclosure-e6-streams": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "6",
                                      "--streams", "10", "--seed", "1"], 2),
     "bound-disclosure-e8-streams": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "8",
@@ -323,6 +324,10 @@ EXIT_PROBES = {
                                       "--streams", "10", "--seed", "1"], 2),
     "bound-disclosure-streams-huge": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2",
                                        "--streams", "100000000000"], 2),
+    "bound-disclosure-draws-over-cap": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2",
+                                         "--streams", "47619048", "--seed", "1"], 2),  # 1 000 000 008 draws
+    "bound-disclosure-over-row-cap": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2",
+                                       "--streams", "150000", "--seed", "1"], 0),  # 1.05 * 10**6 tuples
     "bound-disclosure-e6-analytic": (["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "6",
                                       "--streams", "0"], 0),
     # every noise bound is at most 10**6, so no table of more than 2 * 10**6 + 1 values is built

@@ -195,12 +195,12 @@ def test_planned_statistics_match_every_table_holding_them(case, seed):
                 assert np.array_equal(output.cubes[(None, stat)] - want, noise)
 
 
-def irr_value(programme, output, irr, target):
-    """One IRR of one cell: index the cell in the source cube and sum the rest."""
+def irr_cells(programme, output, irr, target):
+    """The noisy cells one IRR of one cell sums: the cell indexed in the source cube, the rest sliced."""
     stat_ids = target.breakdown_ids | irr.summed_out
     cell = {bid: programme.category_index[bid][value] for bid, value in zip(target.sorted_ids, target.cell)}
     index = tuple(cell.get(bid, slice(None)) for bid in sorted(stat_ids))
-    return float(output.cubes[(irr.table_id, stat_ids)][index].sum())
+    return np.ravel(output.cubes[(irr.table_id, stat_ids)][index])
 
 
 @settings(max_examples=60, deadline=None)
@@ -224,7 +224,9 @@ def test_averaging_estimates_match_per_cell_irr_means(case, spec, spsn, seed):
             assert (stats.t, stats.k, stats.irrs) == (want.t, want.k, want.irrs)
             for cell, got in zip(programme.cells(key), estimates.ravel().tolist()):
                 target = StatisticKey(ids, cell)
-                mean = float(np.mean([irr_value(programme, output, irr, target) for irr in want.irrs]))
+                # the mean of the t IRR sums, as the sum of their k cells over t
+                cells = np.concatenate([irr_cells(programme, output, irr, target) for irr in want.irrs])
+                mean = float(cells.sum() / want.t)
                 assert got == mean
                 assert run_averaging_attack(programme, output, target, optimize).disclosed[0]["estimate"] == mean
 
@@ -564,8 +566,8 @@ def test_memoised_arrays_are_read_only():
     # the release plan's and both attack plans' index arrays and every estimate cube
     plans = [*index]
     for optimize in (False, True):
-        _, sum_index, _, _, mean_index = programme.plans[(False, optimize)]
-        plans += [*sum_index, *mean_index]
+        _, _, _, groups = programme.plans[(False, optimize)]
+        plans += [rows for _, rows in groups]
     estimates = [output.estimates[(ids, optimize)][0][0] for ids in output.exact for optimize in (False, True)]
     # the exact statistic vector and its cubes, which an exact release hands out as they are
     _, counts, cubes, _ = attacks_module._exact_statistics(programme, data)

@@ -29,7 +29,6 @@ from record_keys import RecordKey, cell_key, cell_key_noise, random_record_keys
 def test_laplace_variance_examples():
     assert laplace_variance(1.0) == 2.0
     assert laplace_variance(0.025) == 3200.0
-    assert laplace_variance(1.0, 2) == 8.0
 
 
 def test_laplace_variance_rejects_bad_epsilon():
