@@ -255,13 +255,12 @@ class NoisyOutput:
     Cells are listed in row-major cube order, the order independent draws fill.
     :func:`averaging_estimates` reads them from ``cubes``, arrays over the
     sorted ids whose axes the programme's ``category_index`` indexes, and
-    memoises into ``estimates``, by ``(ids, optimize)``, each statistic's
-    read-only estimate cube with its :class:`IRRStats`, and its answer map,
-    from which :func:`run_averaging_attack` answers a target cell with one
-    lookup.  ``exact`` keeps the pre-noise tabulations per unique statistic:
-    the truth that :func:`run_averaging_attack` reports as ``true`` and counts
-    its ``mc_successes`` against.  Each release holds its own copies of the
-    dicts the microdata memoises.
+    memoises into ``estimates`` one entry per statistic and mode, from which
+    :func:`run_averaging_attack` answers a target cell by its position.
+    ``exact`` keeps each unique statistic's pre-noise counts, read by cell in
+    any order: the truth :func:`run_averaging_attack` reports as ``true`` and
+    counts its ``mc_successes`` against.  Each release holds its own copies
+    of the dicts the microdata memoises.
     """
 
     spsn: bool
@@ -348,8 +347,9 @@ def _release_plan(programme: TableProgramme):
     offset in one vector of the tables' flat cubes; each statistic, in
     ``released`` order, gets its cube shape, a block of one vector of
     statistic cells and its label map, its cells in row-major order, each
-    mapped to its report label.  A cell's row, from :func:`_rows`, lists the
-    cells of the first table holding the statistic that sum to it.
+    mapped to its (row-major position, report label).  A cell's row, from
+    :func:`_rows`, lists the cells of the first table holding the statistic
+    that sum to it.
     """
     if "release" not in programme.plans:
         sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
@@ -359,7 +359,7 @@ def _release_plan(programme: TableProgramme):
             for key in new:
                 stat = key.breakdown_ids
                 stats[stat] = tuple(sizes[bid] for bid in key.sorted_ids)
-                labels[stat] = {c: f"{key.label()}:{'/'.join(c)}" for c in programme.cells(key)}
+                labels[stat] = {c: (i, f"{key.label()}:{'/'.join(c)}") for i, c in enumerate(programme.cells(key))}
                 rows = _rows(sizes, offsets[-1], table.breakdown_set, table.breakdown_set - stat)
                 groups.setdefault(rows.shape[1], {})[stat] = rows
             if new:
@@ -433,10 +433,10 @@ def averaging_estimates(
     one gather of each cell's k IRR cells, their row sum over t.  Each
     statistic gets one entry on ``output.estimates`` by ``(ids, optimize)``:
     its read-only estimate cube over ``sorted(ids)`` with its
-    :class:`IRRStats`, which every call returns as the same object, and its
-    answer map, per cell the report label from the release plan, the
-    estimate, its ``round`` (half to even, a Python int of any size) and the
-    truth from ``output.exact``.  An output answers for the programme it was
+    :class:`IRRStats`, which every call returns as the same object; its
+    slice of the mode's one ``tolist`` of estimates, in row-major order; and,
+    for :func:`run_averaging_attack`, its label map from the release plan and
+    its dict in ``output.exact``.  An output answers for the programme it was
     released from.
     """
     if (ids, optimize) not in output.estimates:
@@ -446,15 +446,10 @@ def averaging_estimates(
         flat = np.concatenate([output.cubes[key].ravel() for key in keys])
         estimates = np.concatenate([flat[rows].sum(axis=-1) / t for (_, t), rows in groups])
         estimates.flags.writeable = False
-        values = estimates.tolist()
-        recovered = list(map(round, values))
-        labels = _release_plan(programme)[-1]
+        values, labels = estimates.tolist(), _release_plan(programme)[-1]
         for stat, (shape, stats) in shapes.items():
-            block, exact = cells[stat], output.exact[stat]
-            answers = zip(labels[stat].items(), values[block], recovered[block])
-            output.estimates[(stat, optimize)] = (estimates[block].reshape(shape), stats), {
-                cell: (label, value, rounded, exact[cell]) for (cell, label), value, rounded in answers
-            }
+            cube = estimates[cells[stat]].reshape(shape)
+            output.estimates[(stat, optimize)] = (cube, stats), values[cells[stat]], labels[stat], output.exact[stat]
     return output.estimates[(ids, optimize)][0]
 
 
@@ -463,21 +458,26 @@ def run_averaging_attack(
 ) -> AttackReport:
     """Average all redundant representations of one target cell and round.
 
-    The target's answer is one lookup in its statistic's answer map, which
-    :func:`averaging_estimates` fills, raising as :func:`enumerate_irrs` for a
-    statistic the release lacks: the report label, the estimate, its rounding
-    and the truth from ``exact``.
+    The statistic's entry, which :func:`averaging_estimates` fills (raising
+    as :func:`enumerate_irrs` for a statistic the release lacks), gives the
+    target's label and row-major position.  The estimate at that position is
+    rounded half to even to a Python int and compared with the truth, which
+    the exact dict holds by cell, not by position.
     """
     if target.cell is None:
         raise DomainError("averaging attack needs a fully specified target cell")
     ids = target.breakdown_ids
-    if (ids, optimize) not in output.estimates:
-        averaging_estimates(programme, output, ids, optimize)
-    (_, stats), cells = output.estimates[(ids, optimize)]
     try:
-        label, estimate, recovered, truth = cells[target.cell]
+        (_, stats), values, labels, exact = output.estimates[(ids, optimize)]
+    except KeyError:
+        averaging_estimates(programme, output, ids, optimize)
+        (_, stats), values, labels, exact = output.estimates[(ids, optimize)]
+    try:
+        position, label = labels[target.cell]
     except KeyError:
         programme.validate_key(target)  # names the value that is not a category
         raise
-    entry = {"cell": label, "recovered": recovered, "true": truth, "estimate": estimate, "t": stats.t, "k": stats.k}
-    return AttackReport(attack="Averaging", disclosed=[entry], mc_trials=1, mc_successes=int(recovered == truth))
+    estimate = values[position]
+    recovered, true = round(estimate), exact[target.cell]
+    entry = {"cell": label, "recovered": recovered, "true": true, "estimate": estimate, "t": stats.t, "k": stats.k}
+    return AttackReport("Averaging", None, None, [entry], 1, int(recovered == true))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sdcnoise.attacks import (
     AttackReport,
     NoisyOutput,
+    averaging_estimates,
     averaging_mc,
     averaging_success,
     bound_disclosure_mc,
@@ -438,6 +439,28 @@ def test_averaging_attack_rounds_half_to_even():
     assert [entry["estimate"] for entry in entries] == [5.5, 0.5, 1.5, 2.5, -0.5]
     assert [entry["recovered"] for entry in entries] == [6, 0, 2, 2, 0]
     assert all(type(entry["recovered"]) is int and entry["recovered"] == round(entry["estimate"]) for entry in entries)
+
+
+@pytest.mark.parametrize("spec,spsn", [(CellKey(2.0, 5), True), (Laplace(0.5), False)])
+def test_averaging_truth_follows_the_cell_in_any_exact_order(spec, spsn):
+    """A hand-built release may list its exact dicts in any order: the truth is read by cell, not by position."""
+    released = perturb_outputs(SEX_AGE, _random_data(random.Random(3), SEX_AGE, 50), spec, 9, spsn=spsn)
+    for optimize in (False, True):
+        # the recovered estimate at even row-major positions, a value no estimate rounds to at odd ones
+        truths = {}
+        for ids in released.exact:
+            estimates, _ = averaging_estimates(SEX_AGE, released, ids, optimize)
+            cells = zip(SEX_AGE.cells(StatisticKey(ids)), estimates.ravel().tolist())
+            truths[ids] = {cell: -(10**9 + i) if i % 2 else round(e) for i, (cell, e) in enumerate(cells)}
+        exact = {ids: dict(reversed(truth.items())) for ids, truth in truths.items()}
+        output = NoisyOutput(released.spsn, released.tables, exact, released.cubes)
+        for ids, truth in truths.items():
+            cells = SEX_AGE.cells(StatisticKey(ids))
+            assert list(output.exact[ids]) == cells[::-1]
+            for i, cell in enumerate(cells):
+                report = run_averaging_attack(SEX_AGE, output, StatisticKey(ids, cell), optimize)
+                assert report.disclosed[0]["true"] == truth[cell]
+                assert report.mc_successes == int(i % 2 == 0)
 
 
 @pytest.mark.parametrize("spsn", [True, False])

@@ -231,6 +231,36 @@ def test_averaging_estimates_match_per_cell_irr_means(case, spec, spsn, seed):
                 assert run_averaging_attack(programme, output, target, optimize).disclosed[0]["estimate"] == mean
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    programmes_with_data(),
+    st.sampled_from([Laplace(0.5), TwoTailedGeometric(0.5), CellKey(variance=2.0, bound=3), None]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_averaging_reports_read_the_estimate_cube_at_the_cell_position(case, spec, spsn, seed):
+    programme, data = case
+    output = perturb_outputs(programme, data, spec, seed, spsn=spsn)
+    for ids, exact in output.exact.items():
+        key = StatisticKey(ids)
+        for optimize in (False, True):
+            estimates, stats = averaging_estimates(programme, output, ids, optimize)
+            for i, cell in enumerate(programme.cells(key)):
+                report = run_averaging_attack(programme, output, StatisticKey(ids, cell), optimize)
+                entry = report.disclosed[0]
+                assert entry["cell"] == f"{key.label()}:{'/'.join(cell)}"
+                # the estimate at the cell's row-major index, bit for bit
+                assert type(entry["estimate"]) is float
+                assert np.float64(entry["estimate"]).tobytes() == estimates.ravel()[i : i + 1].tobytes()
+                assert type(entry["recovered"]) is int and entry["recovered"] == round(entry["estimate"])
+                assert entry["true"] == exact[cell]
+                assert (entry["t"], entry["k"]) == (stats.t, stats.k)
+                assert report.mc_successes == int(entry["recovered"] == entry["true"])
+                # every call builds its own entry
+                again = run_averaging_attack(programme, output, StatisticKey(ids, cell), optimize)
+                assert again.disclosed[0] == entry and again.disclosed[0] is not entry
+
+
 SEX_AGE = parse_programme(
     {
         "breakdowns": [{"id": "SEX", "categories": ["F", "M"]}, {"id": "AGE", "categories": ["young", "old"]}],
@@ -558,11 +588,11 @@ def test_memoised_arrays_are_read_only():
     assert len(tables) == len(programme.tables)
     _, _, _, index, labels = programme.plans["release"]
     assert list(labels) == list(output.exact)
-    for ids, label_map in labels.items():  # row-major cells, each mapped to its report label
+    for ids, label_map in labels.items():  # row-major cells, each mapped to its (position, report label)
         cells = programme.cells(StatisticKey(ids))
         assert list(label_map) == cells
         prefix = StatisticKey(ids).label() + ":"
-        assert list(label_map.values()) == [prefix + "/".join(cell) for cell in cells]
+        assert list(label_map.values()) == [(i, prefix + "/".join(cell)) for i, cell in enumerate(cells)]
     # the release plan's and both attack plans' index arrays and every estimate cube
     plans = [*index]
     for optimize in (False, True):
