@@ -23,7 +23,7 @@ from .errors import DomainError, InfeasibleError
 from .noise import NoiseSpec, check_epsilon, gen_ptable, laplace_variance, sample_noise
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AreaRecord:
     """One small administrative area with its sex-split population counts."""
 
@@ -86,13 +86,13 @@ def binned_distortion_estimate(
 def read_areas_text(text: str) -> list[AreaRecord]:
     """Parse area_id,country,f,m,t rows; a bad row raises DomainError naming its line."""
     reader = csv.reader(text.splitlines())
-    rows = [(reader.line_num, r) for r in reader if r and not r[0].startswith("#")]
+    rows = ((reader.line_num, r) for r in reader if r and not r[0].startswith("#"))
     expected = ["area_id", "country", "f", "m", "t"]
-    header = rows[0][1] if rows else "an empty file"
+    header = next(rows, (0, "an empty file"))[1]
     if header != expected:
         raise DomainError(f"area CSV header must be {expected}, got {header}")
     areas = []
-    for line, row in rows[1:]:
+    for line, row in rows:
         try:
             area_id, country, f, m, t = row
             areas.append(AreaRecord(area_id=area_id, country=country, f=int(f), m=int(m), t=int(t)))
@@ -103,19 +103,15 @@ def read_areas_text(text: str) -> list[AreaRecord]:
 
 def synthetic_areas(count: int, seed) -> list[AreaRecord]:
     """Log-uniform total counts on [1, 500], split by a fair binomial."""
+    if count < 0:
+        raise DomainError(f"area count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(int)
     totals = np.clip(totals, 1, 500)
     females = rng.binomial(totals, 0.5)
     return [
-        AreaRecord(
-            area_id=f"A{i:05d}",
-            country="SYN",
-            f=int(females[i]),
-            m=int(totals[i] - females[i]),
-            t=int(totals[i]),
-        )
-        for i in range(count)
+        AreaRecord(f"A{i:05d}", "SYN", f, t - f, t)
+        for i, (f, t) in enumerate(zip(females.tolist(), totals.tolist()))
     ]
 
 

@@ -72,6 +72,35 @@ def test_p1_exhaustive_on_ptables():
         assert float(p1_exact(probs, bound)) == pytest.approx(brute, abs=1e-15)
 
 
+@st.composite
+def symmetric_fraction_pmfs(draw):
+    """A symmetric Fraction pmf on [-bound, bound], bound 0-4, padded with 0-2 zeros each side."""
+    bound = draw(st.integers(0, 4))
+    weights = draw(st.lists(st.integers(0, 20), min_size=bound + 1, max_size=bound + 1))
+    weights[0] += 1 if not any(weights) else 0
+    pad = [0] * draw(st.integers(0, 2))
+    raw = pad + weights[:0:-1] + weights + pad  # weights[j] is the weight of -j and of +j
+    total = sum(raw)
+    return [Fraction(w, total) for w in raw], bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_fraction_pmfs())
+@example(([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], 1))
+@example(([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4), 0, 0], 1))
+def test_p1_matches_triple_enumeration_on_random_pmfs(case):
+    pmf, bound = case
+    half = len(pmf) // 2
+    support = range(-half, half + 1)
+    brute = sum(
+        pmf[a + half] * pmf[b + half] * pmf[c + half]
+        for a, b, c in itertools.product(support, repeat=3)
+        if abs(a + b + c) > 3 * (bound - 1)
+    )
+    p1 = p1_exact(pmf, bound)
+    assert p1 == brute and type(p1) is Fraction
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.floats(0.0, 1.0))
 @example(1, 0.0)

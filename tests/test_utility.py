@@ -78,6 +78,48 @@ def test_area_record_validation():
         AreaRecord(area_id="A", country="X", f=-1, m=1, t=0)
 
 
+def test_area_record_is_slotted_and_frozen():
+    area = AreaRecord(area_id="A", country="X", f=2, m=3, t=5)
+    assert not hasattr(area, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        area.f = 3
+    with pytest.raises(DomainError, match="f \\+ m = 7 != t = 5"):
+        dataclasses.replace(area, f=4)
+    assert dataclasses.replace(area, f=4, t=7) == AreaRecord(area_id="A", country="X", f=4, m=3, t=7)
+
+
+def synthetic_areas_by_index(count, seed):
+    """The per-index construction ``synthetic_areas`` replaced: numpy scalars read one at a time."""
+    rng = np.random.default_rng(seed)
+    totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(int)
+    totals = np.clip(totals, 1, 500)
+    females = rng.binomial(totals, 0.5)
+    return [
+        AreaRecord(
+            area_id=f"A{i:05d}",
+            country="SYN",
+            f=int(females[i]),
+            m=int(totals[i] - females[i]),
+            t=int(totals[i]),
+        )
+        for i in range(count)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2000), st.integers(0, 2**64 - 1))
+def test_synthetic_areas_equal_the_per_index_construction(count, seed):
+    areas = synthetic_areas(count, seed)
+    assert areas == synthetic_areas_by_index(count, seed)
+    assert all(type(a.f) is int and type(a.m) is int and type(a.t) is int for a in areas)
+
+
+def test_synthetic_areas_count_must_be_nonnegative():
+    assert synthetic_areas(0, 1) == []
+    with pytest.raises(DomainError, match="nonnegative"):
+        synthetic_areas(-1, 1)
+
+
 def test_synthetic_areas_shape():
     areas = synthetic_areas(500, 3)
     assert len(areas) == 500
@@ -96,6 +138,24 @@ def test_area_csv_roundtrip(tmp_path):
     columns = [f.name for f in dataclasses.fields(AreaRecord)]
     _write_csv(str(path), [], columns, map(dataclasses.astuple, areas))
     assert read_areas_text(path.read_text(encoding="utf-8")) == areas
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n\n# another\n"])
+def test_read_areas_text_names_an_empty_file(text):
+    with pytest.raises(DomainError, match="got an empty file"):
+        read_areas_text(text)
+
+
+def test_read_areas_text_names_the_physical_line():
+    text = "# areas\narea_id,country,f,m,t\n\nA1,X,1,2,3\n# note\n\nA2,X,1,2,4\n"
+    with pytest.raises(DomainError, match="^area CSV line 7: area 'A2': f \\+ m = 3 != t = 4$"):
+        read_areas_text(text)
+    with pytest.raises(DomainError, match="^area CSV line 3: "):
+        read_areas_text("area_id,country,f,m,t\n#\nA1,X,1,two,3\n")
+    assert read_areas_text(text.replace(",4", ",3")) == [
+        AreaRecord(area_id="A1", country="X", f=1, m=2, t=3),
+        AreaRecord(area_id="A2", country="X", f=1, m=2, t=3),
+    ]
 
 
 def test_observations_histogram_excludes_zeros():
