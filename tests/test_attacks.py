@@ -77,7 +77,8 @@ def symmetric_fraction_pmfs(draw):
     """A symmetric Fraction pmf on [-bound, bound], bound 0-4, padded with 0-2 zeros each side."""
     bound = draw(st.integers(0, 4))
     weights = draw(st.lists(st.integers(0, 20), min_size=bound + 1, max_size=bound + 1))
-    weights[0] += 1 if not any(weights) else 0
+    if not any(weights):
+        weights[0] = 1
     pad = [0] * draw(st.integers(0, 2))
     raw = pad + weights[:0:-1] + weights + pad  # weights[j] is the weight of -j and of +j
     total = sum(raw)

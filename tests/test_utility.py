@@ -89,7 +89,7 @@ def test_area_record_is_slotted_and_frozen():
 
 
 def synthetic_areas_by_index(count, seed):
-    """The per-index construction ``synthetic_areas`` replaced: numpy scalars read one at a time."""
+    """Reference for ``synthetic_areas``: each record from numpy scalars read by index."""
     rng = np.random.default_rng(seed)
     totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(int)
     totals = np.clip(totals, 1, 500)
