@@ -3,6 +3,9 @@
 The tail probability of unbounded per-count noise is folded with the
 distribution of small-area counts to estimate how many published counts
 exceed a relative error threshold; sampled runs cross-check the estimates.
+Small areas are held as one read-only (n, 3) int64 array of (f, m, t)
+counts (``Areas``), which both the histogram and the sampled tallies read
+directly; a list of ``AreaRecord``s is converted once on entry.
 Two grid scans sweep the bounded-noise (V, E) plane and the per-count
 privacy budget range, recording every probability and feasibility flag per
 cell for external heat-map plotting.
@@ -11,9 +14,9 @@ cell for external heat-map plotting.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-from collections.abc import Iterable, Sequence
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +24,23 @@ import numpy as np
 from .attacks import averaging_success, p1_exact, tuples_needed
 from .errors import DomainError, InfeasibleError
 from .noise import NoiseSpec, check_epsilon, gen_ptable, laplace_variance, sample_noise
+
+
+def _area_fault(area_id: str, f: int, m: int, t: int) -> str | None:
+    """Why one area's counts are invalid, or None when f, m >= 0 and f + m = t."""
+    if f < 0 or m < 0:
+        return f"negative count in area {area_id!r}"
+    if f + m != t:
+        return f"area {area_id!r}: f + m = {f + m} != t = {t}"
+    return None
+
+
+class _AreaError(DomainError):
+    """A DomainError about the area at ``row``, so a reader can name its input line."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,12 +54,72 @@ class AreaRecord:
     t: int
 
     def __post_init__(self):
-        if self.f < 0 or self.m < 0:
-            raise DomainError(f"negative count in area {self.area_id!r}")
-        if self.f + self.m != self.t:
+        fault = _area_fault(self.area_id, self.f, self.m, self.t)
+        if fault:
+            raise DomainError(fault)
+
+
+@dataclass(frozen=True, eq=False)
+class Areas(Sequence[AreaRecord]):
+    """Small areas as one read-only (n, 3) int64 array of (f, m, t) plus ids and countries.
+
+    The counts are copied and checked once, vectorised: f, m >= 0 and
+    f + m = t in every row, the first bad area named in the DomainError.
+    ``len``, indexing and iteration build ``AreaRecord``s on the fly.
+    """
+
+    counts: np.ndarray
+    area_ids: tuple[str, ...]
+    countries: tuple[str, ...]
+
+    def __post_init__(self):
+        counts = np.array(self.counts, order="C")
+        if counts.dtype != np.int64 or counts.ndim != 2 or counts.shape[1] != 3:
+            raise DomainError(f"area counts must be an (n, 3) int64 array, got {counts.dtype} {counts.shape}")
+        n = len(counts)
+        if len(self.area_ids) != n or len(self.countries) != n:
             raise DomainError(
-                f"area {self.area_id!r}: f + m = {self.f + self.m} != t = {self.t}"
+                f"{n} areas need {n} ids and countries, got {len(self.area_ids)} and {len(self.countries)}"
             )
+        f, m, t = counts.T
+        bad = (f < 0) | (m < 0) | (f + m != t)  # a wrapped f + m exceeds any int64 t, so it is caught too
+        if bad.any():
+            row = int(bad.argmax())
+            raise _AreaError(_area_fault(self.area_ids[row], *counts[row].tolist()), row)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "area_ids", tuple(self.area_ids))
+        object.__setattr__(self, "countries", tuple(self.countries))
+
+    @classmethod
+    def from_records(cls, records: Iterable[AreaRecord]) -> Areas:
+        """The areas of ``records``, in order."""
+        return _areas_from_rows([(a.area_id, a.country, a.f, a.m, a.t) for a in records])
+
+    def __len__(self) -> int:
+        return len(self.area_ids)
+
+    def __getitem__(self, i: int) -> AreaRecord:
+        return AreaRecord(self.area_ids[i], self.countries[i], *self.counts[i].tolist())
+
+    def __iter__(self) -> Iterator[AreaRecord]:
+        return map(AreaRecord, self.area_ids, self.countries, *self.counts.T.tolist())
+
+
+def _areas_from_rows(rows: list[tuple[str, str, int, int, int]]) -> Areas:
+    """Areas from (area_id, country, f, m, t) rows; a fault names its row in an ``_AreaError``."""
+    values = [row[2:] for row in rows]
+    try:
+        counts = np.array(values, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        limits = np.iinfo(np.int64)
+        row = next(i for i, v in enumerate(values) if not all(limits.min <= c <= limits.max for c in v))
+        raise _AreaError(f"area {rows[row][0]!r}: count does not fit a 64-bit integer", row) from None
+    return Areas(counts, tuple(row[0] for row in rows), tuple(row[1] for row in rows))
+
+
+def _as_areas(areas: Areas | Iterable[AreaRecord]) -> Areas:
+    return areas if isinstance(areas, Areas) else Areas.from_records(areas)
 
 
 @dataclass(frozen=True)
@@ -83,48 +163,56 @@ def binned_distortion_estimate(
     return estimates
 
 
-def read_areas_text(text: str) -> list[AreaRecord]:
-    """Parse area_id,country,f,m,t rows; a bad row raises DomainError naming its line."""
+def read_areas_text(text: str) -> Areas:
+    """Parse area_id,country,f,m,t rows; a bad row raises DomainError naming its line.
+
+    Each row's fields are parsed as it is read; the counts are then checked
+    at once, as one int64 array, and a fault there also names its line.
+    """
     reader = csv.reader(text.splitlines())
     rows = ((reader.line_num, r) for r in reader if r and not r[0].startswith("#"))
     expected = ["area_id", "country", "f", "m", "t"]
     header = next(rows, (0, "an empty file"))[1]
     if header != expected:
         raise DomainError(f"area CSV header must be {expected}, got {header}")
-    areas = []
+    lines, parsed = [], []
     for line, row in rows:
         try:
             area_id, country, f, m, t = row
-            areas.append(AreaRecord(area_id=area_id, country=country, f=int(f), m=int(m), t=int(t)))
-        except (ValueError, DomainError) as exc:
+            parsed.append((area_id, country, int(f), int(m), int(t)))
+        except ValueError as exc:
             raise DomainError(f"area CSV line {line}: {exc}") from exc
-    return areas
+        lines.append(line)
+    try:
+        return _areas_from_rows(parsed)
+    except _AreaError as exc:
+        raise DomainError(f"area CSV line {lines[exc.row]}: {exc}") from exc
 
 
-def synthetic_areas(count: int, seed) -> list[AreaRecord]:
+def synthetic_areas(count: int, seed) -> Areas:
     """Log-uniform total counts on [1, 500], split by a fair binomial."""
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise DomainError(f"area count must be an integer, got {count!r}") from None
     if count < 0:
         raise DomainError(f"area count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
-    totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(int)
+    totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(np.int64)
     totals = np.clip(totals, 1, 500)
     females = rng.binomial(totals, 0.5)
-    return [
-        AreaRecord(f"A{i:05d}", "SYN", f, t - f, t)
-        for i, (f, t) in enumerate(zip(females.tolist(), totals.tolist()))
-    ]
-
-
-def _area_counts(areas: Iterable[AreaRecord], dtype) -> np.ndarray:
-    """f, m and t of every area, area by area, in one flat array of ``dtype``."""
-    return np.fromiter(itertools.chain.from_iterable((a.f, a.m, a.t) for a in areas), dtype=dtype)
+    return Areas(
+        np.column_stack((females, totals - females, totals)),
+        tuple(map("A{:05d}".format, range(count))),
+        ("SYN",) * count,
+    )
 
 
 def observations_histogram(
-    areas: Sequence[AreaRecord], edges: Sequence[float]
+    areas: Areas | Iterable[AreaRecord], edges: Sequence[float]
 ) -> CountHistogram:
     """Histogram over all single observations (f, m and t separately), zeros excluded."""
-    values = _area_counts(areas, np.int64)
+    values = _as_areas(areas).counts.ravel()
     # searchsorted "left" finds the bin i with edges[i] < v <= edges[i + 1] at i + 1
     bins = np.searchsorted(np.asarray(edges), values[values > 0], side="left") - 1
     nbins = max(len(edges) - 1, 0)
@@ -143,16 +231,19 @@ class DistortionTally:
 
 
 def sample_distortions(
-    areas: Sequence[AreaRecord],
+    areas: Areas | Iterable[AreaRecord],
     spec: NoiseSpec,
     seed,
     re_thresholds: Sequence[float],
 ) -> list[DistortionTally]:
-    """Perturb f, m, t independently and tally threshold exceedances."""
+    """Perturb f, m, t independently and tally threshold exceedances.
+
+    The noise is drawn in one call, f, m and t of each area in turn.
+    """
     if not re_thresholds:
         raise DomainError("need at least one relative-error threshold")
-    truth = _area_counts(areas, float).reshape(-1, 3)
-    noise = np.asarray(sample_noise(spec, seed, truth.size) if areas else (), dtype=float).reshape(truth.shape)
+    truth = _as_areas(areas).counts
+    noise = np.asarray(sample_noise(spec, seed, truth.size) if truth.size else (), dtype=float).reshape(truth.shape)
     positive = truth > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.where(positive, np.abs(noise) / np.where(positive, truth, 1.0), 0.0)

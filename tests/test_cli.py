@@ -254,6 +254,8 @@ EXIT_PROBES = {
     "js-removed": (["ptable", "--v", "2", "--e", "5", "--js", "1"], 1),
     "areas-not-int": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",
                        "--areas", "{tmp}/bad_areas.csv"], 2),
+    "areas-int64-overflow": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",
+                              "--areas", "{tmp}/big_areas.csv"], 2),
     "areas-empty": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--areas", "{tmp}/empty.csv"], 2),
     "areas-directory": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--areas", "{tmp}"], 2),
     "margin-not-int": (["attack", "margin", "--e", "2", "--input", "{tmp}/bad_margin.csv"], 2),
@@ -345,6 +347,7 @@ def test_exit_contract(tmp_path, args, code):
     (tmp_path / "bad.json").write_text("{bad")
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "bad_areas.csv").write_text("area_id,country,f,m,t\nA,X,1,2,3\nB,X,x,2,3\n")
+    (tmp_path / "big_areas.csv").write_text(f"area_id,country,f,m,t\nA,X,1,2,3\nB,X,{10**20},1,{10**20 + 1}\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "header_only.csv").write_text("area_id,country,f,m,t\n")
     (tmp_path / "bad_margin.csv").write_text("5,4,9\n1,a,3\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 from sdcnoise import utility
 from sdcnoise.cli import _write_csv, _write_grid
 from sdcnoise.errors import DomainError, InfeasibleError
-from sdcnoise.noise import CellKey, Laplace, gen_ptable, sample_noise
+from sdcnoise.noise import CellKey, Laplace, TruncatedLaplace, TwoTailedGeometric, gen_ptable, sample_noise
 from sdcnoise.utility import (
     AreaRecord,
+    Areas,
     CountHistogram,
     binned_distortion_estimate,
     dp_utility_eps,
@@ -109,15 +111,25 @@ def synthetic_areas_by_index(count, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2000), st.integers(0, 2**64 - 1))
 def test_synthetic_areas_equal_the_per_index_construction(count, seed):
-    areas = synthetic_areas(count, seed)
+    areas = list(synthetic_areas(count, seed))
     assert areas == synthetic_areas_by_index(count, seed)
     assert all(type(a.f) is int and type(a.m) is int and type(a.t) is int for a in areas)
 
 
 def test_synthetic_areas_count_must_be_nonnegative():
-    assert synthetic_areas(0, 1) == []
+    assert list(synthetic_areas(0, 1)) == []
     with pytest.raises(DomainError, match="nonnegative"):
         synthetic_areas(-1, 1)
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, "3", np.float64(3.0)])
+def test_synthetic_areas_count_must_be_an_integer(count):
+    with pytest.raises(DomainError, match="must be an integer"):
+        synthetic_areas(count, 1)
+
+
+def test_synthetic_areas_accept_numpy_integers():
+    assert list(synthetic_areas(np.int32(40), 2)) == list(synthetic_areas(40, 2))
 
 
 def test_synthetic_areas_shape():
@@ -128,7 +140,7 @@ def test_synthetic_areas_shape():
 
 def test_synthetic_areas_are_pinned():
     # SHA-256 recorded while the largest total was still a parameter
-    digest = hashlib.sha256(repr(synthetic_areas(300, 7)).encode()).hexdigest()
+    digest = hashlib.sha256(repr(list(synthetic_areas(300, 7))).encode()).hexdigest()
     assert digest == "48d6729efe21d3393e1f50c4dc190529adeb335a75854af46ef5f09fdb11d34e"
 
 
@@ -137,7 +149,9 @@ def test_area_csv_roundtrip(tmp_path):
     path = tmp_path / "areas.csv"
     columns = [f.name for f in dataclasses.fields(AreaRecord)]
     _write_csv(str(path), [], columns, map(dataclasses.astuple, areas))
-    assert read_areas_text(path.read_text(encoding="utf-8")) == areas
+    read = read_areas_text(path.read_text(encoding="utf-8"))
+    assert list(read) == list(areas)
+    assert np.array_equal(read.counts, areas.counts)
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n\n# another\n"])
@@ -152,7 +166,7 @@ def test_read_areas_text_names_the_physical_line():
         read_areas_text(text)
     with pytest.raises(DomainError, match="^area CSV line 3: "):
         read_areas_text("area_id,country,f,m,t\n#\nA1,X,1,two,3\n")
-    assert read_areas_text(text.replace(",4", ",3")) == [
+    assert list(read_areas_text(text.replace(",4", ",3"))) == [
         AreaRecord(area_id="A1", country="X", f=1, m=2, t=3),
         AreaRecord(area_id="A2", country="X", f=1, m=2, t=3),
     ]
@@ -168,12 +182,19 @@ def test_observations_histogram_of_no_areas_is_all_zero():
     assert observations_histogram([], [0, 10, 20, 50]).bin_counts == (0, 0, 0)
 
 
+def area_counts_by_record(areas, dtype):
+    """The record-by-record reference: f, m and t of every area in one flat array of ``dtype``."""
+    return np.fromiter(itertools.chain.from_iterable((a.f, a.m, a.t) for a in areas), dtype=dtype)
+
+
 def test_area_counts_equal_the_per_area_arrays():
     areas = synthetic_areas(3000, 8)
+    assert areas.counts.dtype == np.int64 and areas.counts.shape == (3000, 3)
     for dtype in (np.int64, float):
-        flat = utility._area_counts(areas, dtype)
+        flat = area_counts_by_record(areas, dtype)
         per_area = np.array([(a.f, a.m, a.t) for a in areas], dtype=dtype).reshape(-1)
-        assert flat.dtype == per_area.dtype and np.array_equal(flat, per_area)
+        assert np.array_equal(flat, per_area)
+        assert np.array_equal(areas.counts.ravel(), flat)
 
 
 def histogram_by_loop(areas, edges):
@@ -199,6 +220,116 @@ def test_observations_histogram_matches_the_loop(splits, edges):
     hist = observations_histogram(areas, edges)
     assert hist.bin_counts == histogram_by_loop(areas, edges)
     assert all(type(c) is int for c in hist.bin_counts)
+
+
+def test_areas_check_their_counts_once():
+    counts = np.array([[1, 2, 3], [0, 4, 4]], dtype=np.int64)
+    areas = Areas(counts, ("A", "B"), ("X", "Y"))
+    counts[0] = (9, 9, 18)  # the areas hold their own copy
+    assert list(areas) == [AreaRecord("A", "X", 1, 2, 3), AreaRecord("B", "Y", 0, 4, 4)]
+    assert not areas.counts.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        areas.counts[0, 0] = 5
+    with pytest.raises(DomainError, match="^negative count in area 'B'$"):
+        Areas(np.array([[1, 2, 3], [-1, 1, 0]], dtype=np.int64), ("A", "B"), ("X", "X"))
+    with pytest.raises(DomainError, match="^negative count in area 'A'$"):
+        Areas(np.array([[1, -2, -1]], dtype=np.int64), ("A",), ("X",))
+    with pytest.raises(DomainError, match="^area 'B': f \\+ m = 3 != t = 4$"):
+        Areas(np.array([[1, 2, 3], [1, 2, 4], [1, 2, 5]], dtype=np.int64), ("A", "B", "C"), ("X",) * 3)
+    with pytest.raises(DomainError, match="f \\+ m = 9223372036854775808 != t = 5"):
+        Areas(np.array([[2**62, 2**62, 5]], dtype=np.int64), ("A",), ("X",))  # f + m wraps in int64
+
+
+@pytest.mark.parametrize(
+    "counts, ids, countries, match",
+    [
+        (np.zeros((2, 2), dtype=np.int64), ("A", "B"), ("X", "X"), "\\(n, 3\\) int64 array"),
+        (np.zeros(3, dtype=np.int64), ("A",), ("X",), "\\(n, 3\\) int64 array"),
+        (np.zeros((1, 3)), ("A",), ("X",), "\\(n, 3\\) int64 array, got float64"),
+        (np.zeros((2, 3), dtype=np.int64), ("A",), ("X", "X"), "2 areas need 2 ids and countries, got 1 and 2"),
+        (np.zeros((1, 3), dtype=np.int64), ("A",), (), "1 areas need 1 ids and countries, got 1 and 0"),
+    ],
+)
+def test_areas_reject_a_wrong_layout(counts, ids, countries, match):
+    with pytest.raises(DomainError, match=match):
+        Areas(counts, ids, countries)
+
+
+def test_areas_index_and_iterate_as_records():
+    areas = synthetic_areas(20, 3)
+    records = list(areas)
+    assert len(areas) == 20 and areas[-1] == records[-1] and areas[5] == records[5]
+    assert all(type(v) is int for v in dataclasses.astuple(areas[5])[2:])
+    with pytest.raises(IndexError):
+        areas[20]
+    assert list(Areas.from_records(records)) == records
+    assert np.array_equal(Areas.from_records(records).counts, areas.counts)
+    assert list(Areas.from_records([])) == []
+
+
+def test_records_too_large_for_int64_are_a_domain_error():
+    records = [AreaRecord("A", "X", 1, 1, 2), AreaRecord("B", "X", 2**63, 0, 2**63)]
+    with pytest.raises(DomainError, match="^area 'B': count does not fit a 64-bit integer$"):
+        observations_histogram(records, [0, 10])
+    text = "area_id,country,f,m,t\nA,X,1,2,3\n\nB,X,-100000000000000000000,1,-99999999999999999999\n"
+    with pytest.raises(DomainError, match="^area CSV line 4: area 'B': count does not fit a 64-bit integer$"):
+        read_areas_text(text)
+
+
+def test_columnar_paths_build_no_area_record(monkeypatch):
+    calls = []
+    check = AreaRecord.__post_init__
+    monkeypatch.setattr(AreaRecord, "__post_init__", lambda self: calls.append(self) or check(self))
+    areas = synthetic_areas(10**4, 17)
+    observations_histogram(areas, [0, 20, 500])
+    sample_distortions(areas, Laplace(epsilon=0.1), 3, [0.5])
+    assert calls == []
+    areas[0]  # the patched check is the one records run
+    assert len(calls) == 1
+
+
+def distortions_by_record(records, spec, seed, thresholds):
+    """The record-by-record reference for ``sample_distortions``: f, m, t of each area in turn."""
+    truth = area_counts_by_record(records, np.int64).tolist()
+    draws = np.asarray(sample_noise(spec, seed, len(truth)), dtype=float).tolist() if truth else []
+    tallies = []
+    for threshold in thresholds:
+        single = broadband = zero_hits = 0
+        for i in range(0, len(truth), 3):
+            values, noise = truth[i : i + 3], draws[i : i + 3]
+            exceed = [v > 0 and abs(d) / v > threshold for v, d in zip(values, noise)]
+            single += sum(exceed)
+            broadband += all(exceed) and (all(d > 0 for d in noise) or all(d < 0 for d in noise))
+            zero_hits += sum(v == 0 and d != 0 for v, d in zip(values, noise))
+        tallies.append((float(threshold), single, broadband, zero_hits))
+    return tallies
+
+
+LAWS = [
+    Laplace(epsilon=0.5),
+    TwoTailedGeometric(epsilon=0.5),
+    TruncatedLaplace(epsilon=0.5, bound=4),
+    CellKey(variance=2.0, bound=3),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)), max_size=25),
+    st.integers(0, 2**32),
+    st.sampled_from(LAWS),
+)
+def test_areas_and_record_lists_agree_with_the_record_reference(splits, seed, spec):
+    records = [AreaRecord(f"A{i}", "X", f, m, f + m) for i, (f, m) in enumerate(splits)]
+    areas = Areas.from_records(records)
+    thresholds = [0.1, 0.5, 2.0]
+    expected = distortions_by_record(records, spec, seed, thresholds)
+    for given_areas in (areas, records):
+        tallies = sample_distortions(given_areas, spec, seed, thresholds)
+        assert [dataclasses.astuple(t) for t in tallies] == expected
+    edges = [0, 1, 5, 20, 80]
+    assert observations_histogram(areas, edges) == observations_histogram(records, edges)
+    assert observations_histogram(areas, edges).bin_counts == histogram_by_loop(records, edges)
 
 
 def test_bounded_noise_cannot_exceed_re_on_large_counts():
