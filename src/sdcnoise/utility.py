@@ -65,7 +65,7 @@ class Areas(Sequence[AreaRecord]):
 
     The counts are copied and checked once, vectorised: f, m >= 0 and
     f + m = t in every row, the first bad area named in the DomainError.
-    ``len``, indexing and iteration build ``AreaRecord``s on the fly.
+    Indexing and iteration build ``AreaRecord``s on the fly.
     """
 
     counts: np.ndarray
