@@ -65,7 +65,9 @@ class Areas(Sequence[AreaRecord]):
 
     The counts are copied and checked once, vectorised: f, m >= 0 and
     f + m = t in every row, the first bad area named in the DomainError.
-    Indexing and iteration build ``AreaRecord``s on the fly.
+    Indexing and iteration build ``AreaRecord``s on the fly; a slice is
+    again ``Areas``. It is not a list: it compares equal only to itself,
+    so compare ``list(areas)`` with a list of records.
     """
 
     counts: np.ndarray
@@ -82,7 +84,8 @@ class Areas(Sequence[AreaRecord]):
                 f"{n} areas need {n} ids and countries, got {len(self.area_ids)} and {len(self.countries)}"
             )
         f, m, t = counts.T
-        bad = (f < 0) | (m < 0) | (f + m != t)  # a wrapped f + m exceeds any int64 t, so it is caught too
+        # with f, m, t >= 0 an f + m that wraps in int64 is negative, so it cannot equal t
+        bad = (f < 0) | (m < 0) | (t < 0) | (f + m != t)
         if bad.any():
             row = int(bad.argmax())
             raise _AreaError(_area_fault(self.area_ids[row], *counts[row].tolist()), row)
@@ -99,7 +102,9 @@ class Areas(Sequence[AreaRecord]):
     def __len__(self) -> int:
         return len(self.area_ids)
 
-    def __getitem__(self, i: int) -> AreaRecord:
+    def __getitem__(self, i: int | slice) -> AreaRecord | Areas:
+        if isinstance(i, slice):
+            return Areas(self.counts[i], self.area_ids[i], self.countries[i])
         return AreaRecord(self.area_ids[i], self.countries[i], *self.counts[i].tolist())
 
     def __iter__(self) -> Iterator[AreaRecord]:

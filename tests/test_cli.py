@@ -256,6 +256,10 @@ EXIT_PROBES = {
                        "--areas", "{tmp}/bad_areas.csv"], 2),
     "areas-int64-overflow": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",
                               "--areas", "{tmp}/big_areas.csv"], 2),
+    "areas-wrapping-sum": (["utility", "estimate", "--eps", "0.1", "--re", "0.5",
+                            "--areas", "{tmp}/wrap_areas.csv"], 2),
+    "sample-areas-wrapping-sum": (["utility", "sample", "--mech", "laplace", "--eps", "0.1", "--re", "0.5",
+                            "--seed", "1", "--areas", "{tmp}/wrap_areas.csv"], 2),
     "areas-empty": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--areas", "{tmp}/empty.csv"], 2),
     "areas-directory": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--areas", "{tmp}"], 2),
     "margin-not-int": (["attack", "margin", "--e", "2", "--input", "{tmp}/bad_margin.csv"], 2),
@@ -348,6 +352,7 @@ def test_exit_contract(tmp_path, args, code):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "bad_areas.csv").write_text("area_id,country,f,m,t\nA,X,1,2,3\nB,X,x,2,3\n")
     (tmp_path / "big_areas.csv").write_text(f"area_id,country,f,m,t\nA,X,1,2,3\nB,X,{10**20},1,{10**20 + 1}\n")
+    (tmp_path / "wrap_areas.csv").write_text(f"area_id,country,f,m,t\nA,X,1,2,3\nB,X,{2**62},{2**62},{-(2**63)}\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "header_only.csv").write_text("area_id,country,f,m,t\n")
     (tmp_path / "bad_margin.csv").write_text("5,4,9\n1,a,3\n")

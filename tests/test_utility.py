@@ -190,11 +190,7 @@ def area_counts_by_record(areas, dtype):
 def test_area_counts_equal_the_per_area_arrays():
     areas = synthetic_areas(3000, 8)
     assert areas.counts.dtype == np.int64 and areas.counts.shape == (3000, 3)
-    for dtype in (np.int64, float):
-        flat = area_counts_by_record(areas, dtype)
-        per_area = np.array([(a.f, a.m, a.t) for a in areas], dtype=dtype).reshape(-1)
-        assert np.array_equal(flat, per_area)
-        assert np.array_equal(areas.counts.ravel(), flat)
+    assert np.array_equal(areas.counts.ravel(), area_counts_by_record(areas, np.int64))
 
 
 def histogram_by_loop(areas, edges):
@@ -236,8 +232,10 @@ def test_areas_check_their_counts_once():
         Areas(np.array([[1, -2, -1]], dtype=np.int64), ("A",), ("X",))
     with pytest.raises(DomainError, match="^area 'B': f \\+ m = 3 != t = 4$"):
         Areas(np.array([[1, 2, 3], [1, 2, 4], [1, 2, 5]], dtype=np.int64), ("A", "B", "C"), ("X",) * 3)
-    with pytest.raises(DomainError, match="f \\+ m = 9223372036854775808 != t = 5"):
-        Areas(np.array([[2**62, 2**62, 5]], dtype=np.int64), ("A",), ("X",))  # f + m wraps in int64
+    # f + m wraps in int64, to a positive t's sign and to a negative t's value
+    for f, m, t in [(2**62, 2**62, 5), (2**62, 2**62, -(2**63)), (2**63 - 1, 2**63 - 1, -2)]:
+        with pytest.raises(DomainError, match=f"^area 'A': f \\+ m = {f + m} != t = {t}$"):
+            Areas(np.array([[f, m, t]], dtype=np.int64), ("A",), ("X",))
 
 
 @pytest.mark.parametrize(
@@ -265,6 +263,18 @@ def test_areas_index_and_iterate_as_records():
     assert list(Areas.from_records(records)) == records
     assert np.array_equal(Areas.from_records(records).counts, areas.counts)
     assert list(Areas.from_records([])) == []
+
+
+def test_areas_slice_as_areas():
+    areas = synthetic_areas(20, 3)
+    records = list(areas)
+    for part in (slice(2, 7), slice(None, None, -3), slice(30, 40)):
+        sliced = areas[part]
+        assert type(sliced) is Areas and list(sliced) == records[part]
+        assert np.array_equal(sliced.counts, areas.counts[part])
+    assert areas != records  # not a list: compare list(areas)
+    with pytest.raises(TypeError):
+        areas[[1, 2]]
 
 
 def test_records_too_large_for_int64_are_a_domain_error():
