@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .noise import check_epsilon
@@ -18,22 +17,12 @@ from .tables import StatisticKey, TableProgramme
 from .utility import dp_utility_eps
 
 
-@dataclass(frozen=True)
-class ReidRates:
-    r_recon: float
-    r_match: float
-    r_reid: float = field(init=False)
-
-    def __post_init__(self):
-        for name, value in (("r_recon", self.r_recon), ("r_match", self.r_match)):
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"{name} must lie in [0,1], got {value}")
-        object.__setattr__(self, "r_reid", self.r_recon * self.r_match)
-
-
-def reid_rate(r_recon: float, r_match: float) -> ReidRates:
+def reid_rate(r_recon: float, r_match: float) -> float:
     """Re-identification success rate: product of reconstruction and matching rates."""
-    return ReidRates(r_recon=r_recon, r_match=r_match)
+    for name, value in (("r_recon", r_recon), ("r_match", r_match)):
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} must lie in [0,1], got {value}")
+    return float(r_recon * r_match)
 
 
 def _excess(p: float, q: float, factor: float, epsilon: float) -> float:

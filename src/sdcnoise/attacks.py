@@ -207,9 +207,9 @@ def averaging_success(variance: float, k: float, t: float, xi: float = 0.5) -> f
     """
     if not (variance >= 0 and k > 0 and t > 0 and xi > 0):
         raise DomainError("V must be nonnegative and k, t, xi positive")
-    if variance == 0:
-        return 1.0
-    return math.erf(xi / math.sqrt(2.0 * (k * variance / t**2)))
+    spread = math.sqrt(2.0 * (k * variance / t**2))
+    # a spread below float resolution pins the target
+    return math.erf(xi / spread) if spread > 0 else 1.0
 
 
 def averaging_mc(

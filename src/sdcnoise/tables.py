@@ -284,14 +284,6 @@ def encode(programme: TableProgramme, data: Microdata, ids: Iterable[str]) -> di
     return {bid: data.codes[key] for bid, key in keys.items()}
 
 
-def cube_index(
-    programme: TableProgramme, codes: Mapping[str, np.ndarray], ids: Sequence[str]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Row-major cell of every record in the cube over the non-empty ``ids``, and its shape."""
-    shape = tuple(programme.breakdown(bid).cardinality for bid in ids)
-    return np.ravel_multi_index([codes[bid] for bid in ids], shape), shape
-
-
 def table_counts(
     programme: TableProgramme, data: Microdata, ids: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +293,9 @@ def table_counts(
     """
     key = tuple((bid, programme.breakdown(bid).categories) for bid in ids)
     if key not in data.codes:
-        flat, shape = cube_index(programme, encode(programme, data, ids), ids)
+        codes = encode(programme, data, ids)
+        shape = tuple(programme.breakdown(bid).cardinality for bid in ids)
+        flat = np.ravel_multi_index([codes[bid] for bid in ids], shape)
         counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
         flat.flags.writeable = counts.flags.writeable = False
         data.codes[key] = flat, counts

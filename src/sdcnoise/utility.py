@@ -5,7 +5,7 @@ distribution of small-area counts to estimate how many published counts
 exceed a relative error threshold; sampled runs cross-check the estimates.
 Small areas are held as one read-only (n, 3) int64 array of (f, m, t)
 counts (``Areas``), which both the histogram and the sampled tallies read
-directly; a list of ``AreaRecord``s is converted once on entry.
+directly.
 Two grid scans sweep the bounded-noise (V, E) plane and the per-count
 privacy budget range, recording every probability and feasibility flag per
 cell for external heat-map plotting.
@@ -123,10 +123,6 @@ def _areas_from_rows(rows: list[tuple[str, str, int, int, int]]) -> Areas:
     return Areas(counts, tuple(row[0] for row in rows), tuple(row[1] for row in rows))
 
 
-def _as_areas(areas: Areas | Iterable[AreaRecord]) -> Areas:
-    return areas if isinstance(areas, Areas) else Areas.from_records(areas)
-
-
 @dataclass(frozen=True)
 class CountHistogram:
     """Observation counts per (edge[i], edge[i+1]] bin."""
@@ -137,7 +133,7 @@ class CountHistogram:
     def __post_init__(self):
         if len(self.bin_edges) != len(self.bin_counts) + 1:
             raise DomainError("need one more edge than bins")
-        if any(b >= a for a, b in zip(self.bin_edges[1:], self.bin_edges)):
+        if not all(a < b for a, b in zip(self.bin_edges, self.bin_edges[1:])):
             raise DomainError("bin edges must be strictly ascending")
         if any(c < 0 for c in self.bin_counts):
             raise DomainError("bin counts must be nonnegative")
@@ -213,11 +209,9 @@ def synthetic_areas(count: int, seed) -> Areas:
     )
 
 
-def observations_histogram(
-    areas: Areas | Iterable[AreaRecord], edges: Sequence[float]
-) -> CountHistogram:
+def observations_histogram(areas: Areas, edges: Sequence[float]) -> CountHistogram:
     """Histogram over all single observations (f, m and t separately), zeros excluded."""
-    values = _as_areas(areas).counts.ravel()
+    values = areas.counts.ravel()
     # searchsorted "left" finds the bin i with edges[i] < v <= edges[i + 1] at i + 1
     bins = np.searchsorted(np.asarray(edges), values[values > 0], side="left") - 1
     nbins = max(len(edges) - 1, 0)
@@ -236,7 +230,7 @@ class DistortionTally:
 
 
 def sample_distortions(
-    areas: Areas | Iterable[AreaRecord],
+    areas: Areas,
     spec: NoiseSpec,
     seed,
     re_thresholds: Sequence[float],
@@ -245,9 +239,9 @@ def sample_distortions(
 
     The noise is drawn in one call, f, m and t of each area in turn.
     """
-    if not re_thresholds:
+    if len(re_thresholds) == 0:
         raise DomainError("need at least one relative-error threshold")
-    truth = _as_areas(areas).counts
+    truth = areas.counts
     noise = np.asarray(sample_noise(spec, seed, truth.size) if truth.size else (), dtype=float).reshape(truth.shape)
     positive = truth > 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -301,6 +295,10 @@ def scan_ve(
     """Scan the bounded-noise (V, E) plane for bound-disclosure and averaging risk."""
     if not m_avail > 0:
         raise DomainError(f"m_avail must be positive, got {m_avail}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    if kt2 is not None and not kt2 > 0:
+        raise DomainError(f"kt2 must be positive, got {kt2}")
     columns = [
         "V",
         "E",

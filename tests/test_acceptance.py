@@ -173,12 +173,8 @@ def test_criterion_07_utility_worked_example():
     # stay at or above the right-edge estimate
     areas = synthetic_areas(120000, 20260823)
     values = [v for a in areas for v in (a.f, a.m, a.t) if 60 < v <= 80]
-    bin_hist = observations_histogram(
-        [  # reuse the real tally machinery on just this bin's observations
-            a for a in areas
-        ],
-        [60, 80],
-    )
+    # reuse the real tally machinery on just this bin's observations
+    bin_hist = observations_histogram(areas, [60, 80])
     rng = np.random.default_rng(7)
     noise = rng.laplace(0.0, 1.0 / 0.1, size=len(values))
     sampled = int(np.sum(np.abs(noise) / np.array(values) > 0.5))

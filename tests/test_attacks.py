@@ -213,6 +213,8 @@ def test_margin_exploit_mc_report_is_pinned():
 def test_averaging_success_values():
     assert averaging_success(2.0, 1000, 100) == pytest.approx(0.736, abs=5e-4)
     assert averaging_success(0.0, 10, 5) == 1.0
+    # k * V underflows to 0: a spread below float resolution pins the target
+    assert averaging_success(0.5, 5e-324, 1.0) == 1.0
     with pytest.raises(DomainError):
         averaging_success(2.0, 10, 5, xi=0.0)
 

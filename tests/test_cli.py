@@ -270,6 +270,14 @@ EXIT_PROBES = {
                          "--re", "0.5", "--seed", "1"], 2),
     "sample-eps-nan": (["utility", "sample", "--eps", "nan", "--re", "0.5", "--seed", "1"], 2),
     "scan-m-avail-nan": (["scan", "ve", "--m-avail", "nan"], 2),
+    # alpha and --kt2 are checked even on a grid whose every cell is infeasible
+    "scan-ve-alpha-infeasible": (["scan", "ve", "--m-avail", "2.8e7", "--alpha", "5", "--v-min", "100",
+                                  "--v-max", "100", "--e-min", "1", "--e-max", "2"], 2),
+    "scan-ve-kt2-infeasible": (["scan", "ve", "--m-avail", "1", "--kt2", "0", "--v-min", "100", "--v-max", "100",
+                                "--e-min", "1", "--e-max", "1"], 2),
+    # k * V underflows to 0 at V = 0.5: a noise spread below float resolution pins the target
+    "scan-ve-kt2-subnormal": (["scan", "ve", "--m-avail", "1", "--kt2", "5e-324", "--v-min", "0.5",
+                               "--v-max", "0.5", "--e-min", "1", "--e-max", "1"], 0),
     "seed-negative": (["attack", "averaging", "--v", "2", "--e", "5", "--k", "10", "--t", "5",
                        "--trials", "10", "--seed", "-1"], 1),
     "budget-halving-600": (["account", "budget", "--global-eps", "1", "--halving", "600"], 2),

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from sdcnoise import attacks as attacks_module
 from sdcnoise import noise
-from sdcnoise import tables as tables_module
 from sdcnoise.errors import ProgrammeError
 from sdcnoise.noise import (
     CellKey,
@@ -40,7 +39,6 @@ from sdcnoise.tables import (
     StatisticKey,
     TableProgramme,
     TableSpec,
-    cube_index,
     encode,
     enumerate_subtables,
     parse_programme,
@@ -97,21 +95,19 @@ def marginal(cube, ids, keep):
 
 def key_cube(programme, data, ids, record_keys):
     """Wrapped uint64 sums of the record keys over the cube of ``ids``."""
-    flat, shape = cube_index(programme, encode(programme, data, ids), ids)
-    keys = np.zeros(int(np.prod(shape)), dtype=np.uint64)
+    flat, counts = table_counts(programme, data, ids)
+    keys = np.zeros(counts.size, dtype=np.uint64)
     np.add.at(keys, flat, record_keys)
-    return keys.reshape(shape)
+    return keys.reshape(counts.shape)
 
 
 @settings(max_examples=60, deadline=None)
 @given(programmes_with_data())
 def test_cube_marginals_match_per_record_tabulation(case):
     programme, data = case
-    codes = encode(programme, data, programme.breakdowns)
     for table in programme.tables:
         ids = tuple(sorted(table.breakdowns))
-        flat, shape = cube_index(programme, codes, ids)
-        cube = np.bincount(flat, minlength=int(np.prod(shape))).reshape(shape)
+        _, cube = table_counts(programme, data, ids)
         for sub in enumerate_subtables(table):
             want = per_record_counts(programme, data, sub)
             got = marginal(cube, ids, sub.breakdown_ids)
@@ -497,7 +493,7 @@ class CountingCubes(dict):
 
 @pytest.mark.parametrize("spec,spsn", [(CellKey(2.0, 5), True), (Laplace(0.5), False)])
 def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, spsn):
-    calls = {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0, "cells": 0, "averaging_estimates": 0}
+    calls = {"bincount": 0, "enumerate_irrs": 0, "cells": 0, "averaging_estimates": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -506,7 +502,6 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
 
         return wrapper
 
-    monkeypatch.setattr(tables_module, "cube_index", counting("cube_index", tables_module.cube_index))
     monkeypatch.setattr(np, "bincount", counting("bincount", np.bincount))
     monkeypatch.setattr(attacks_module, "enumerate_irrs", counting("enumerate_irrs", attacks_module.enumerate_irrs))
     monkeypatch.setattr(TableProgramme, "cells", counting("cells", TableProgramme.cells))
@@ -544,7 +539,7 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
         return output
 
     first = release_and_attack(1)
-    assert calls["cube_index"] == calls["bincount"] == len(programme.tables)
+    assert calls["bincount"] == len(programme.tables)  # one count cube per table
     assert calls["enumerate_irrs"] == 2 * len(stats)  # once per statistic and mode
     assert calls["cells"] == len(stats)  # one label map per statistic, shared by release and attack
     assert programme.plans.keys() == {"release", (spsn, False), (spsn, True)}
@@ -559,7 +554,7 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
     parts = seed_free_parts()
     calls.update(dict.fromkeys(calls, 0))
     output = release_and_attack(2)
-    assert calls == {"cube_index": 0, "bincount": 0, "enumerate_irrs": 0, "cells": 0, "averaging_estimates": 2}
+    assert calls == {"bincount": 0, "enumerate_irrs": 0, "cells": 0, "averaging_estimates": 2}
     assert programme.plans.keys() == plans.keys()
     assert all(programme.plans[key] is plan for key, plan in plans.items())
     assert all(a is b for a, b in zip(seed_free_parts(), parts, strict=True))

@@ -70,6 +70,10 @@ def test_histogram_validation():
         CountHistogram(bin_edges=(0, 10), bin_counts=(1, 2))
     with pytest.raises(DomainError):
         CountHistogram(bin_edges=(0, 10, 5), bin_counts=(1, 2))
+    with pytest.raises(DomainError, match="strictly ascending"):
+        CountHistogram(bin_edges=(0, math.nan), bin_counts=(3,))
+    with pytest.raises(DomainError, match="strictly ascending"):
+        observations_histogram(synthetic_areas(10, 1), [0, math.nan])
 
 
 def test_area_record_validation():
@@ -173,13 +177,13 @@ def test_read_areas_text_names_the_physical_line():
 
 
 def test_observations_histogram_excludes_zeros():
-    areas = [AreaRecord(area_id="A", country="X", f=0, m=4, t=4)]
+    areas = Areas.from_records([AreaRecord(area_id="A", country="X", f=0, m=4, t=4)])
     hist = observations_histogram(areas, [0, 10])
     assert hist.bin_counts == (2,)  # m and t; the zero f is dropped
 
 
 def test_observations_histogram_of_no_areas_is_all_zero():
-    assert observations_histogram([], [0, 10, 20, 50]).bin_counts == (0, 0, 0)
+    assert observations_histogram(Areas.from_records([]), [0, 10, 20, 50]).bin_counts == (0, 0, 0)
 
 
 def area_counts_by_record(areas, dtype):
@@ -210,7 +214,9 @@ def histogram_by_loop(areas, edges):
     st.lists(st.one_of(st.integers(-5, 700), st.floats(-5.0, 700.0)), min_size=1, max_size=12, unique=True),
 )
 def test_observations_histogram_matches_the_loop(splits, edges):
-    areas = [AreaRecord(area_id=f"A{i}", country="X", f=f, m=m, t=f + m) for i, (f, m) in enumerate(splits)]
+    areas = Areas.from_records(
+        [AreaRecord(area_id=f"A{i}", country="X", f=f, m=m, t=f + m) for i, (f, m) in enumerate(splits)]
+    )
     edges = sorted(edges)
     assume(all(a < b for a, b in zip(edges, edges[1:])))  # 1 and 1.0 are the same edge
     hist = observations_histogram(areas, edges)
@@ -280,7 +286,7 @@ def test_areas_slice_as_areas():
 def test_records_too_large_for_int64_are_a_domain_error():
     records = [AreaRecord("A", "X", 1, 1, 2), AreaRecord("B", "X", 2**63, 0, 2**63)]
     with pytest.raises(DomainError, match="^area 'B': count does not fit a 64-bit integer$"):
-        observations_histogram(records, [0, 10])
+        Areas.from_records(records)
     text = "area_id,country,f,m,t\nA,X,1,2,3\n\nB,X,-100000000000000000000,1,-99999999999999999999\n"
     with pytest.raises(DomainError, match="^area CSV line 4: area 'B': count does not fit a 64-bit integer$"):
         read_areas_text(text)
@@ -329,24 +335,29 @@ LAWS = [
     st.integers(0, 2**32),
     st.sampled_from(LAWS),
 )
-def test_areas_and_record_lists_agree_with_the_record_reference(splits, seed, spec):
+def test_areas_agree_with_the_record_reference(splits, seed, spec):
     records = [AreaRecord(f"A{i}", "X", f, m, f + m) for i, (f, m) in enumerate(splits)]
     areas = Areas.from_records(records)
     thresholds = [0.1, 0.5, 2.0]
-    expected = distortions_by_record(records, spec, seed, thresholds)
-    for given_areas in (areas, records):
-        tallies = sample_distortions(given_areas, spec, seed, thresholds)
-        assert [dataclasses.astuple(t) for t in tallies] == expected
+    tallies = sample_distortions(areas, spec, seed, thresholds)
+    assert [dataclasses.astuple(t) for t in tallies] == distortions_by_record(records, spec, seed, thresholds)
     edges = [0, 1, 5, 20, 80]
-    assert observations_histogram(areas, edges) == observations_histogram(records, edges)
     assert observations_histogram(areas, edges).bin_counts == histogram_by_loop(records, edges)
 
 
+def test_array_thresholds_give_the_list_tallies():
+    areas = synthetic_areas(500, 12)
+    thresholds = [0.2, 0.5]
+    expected = sample_distortions(areas, Laplace(epsilon=0.1), 4, thresholds)
+    assert sample_distortions(areas, Laplace(epsilon=0.1), 4, np.array(thresholds)) == expected
+    with pytest.raises(DomainError, match="at least one"):
+        sample_distortions(areas, Laplace(epsilon=0.1), 4, np.array([]))
+
+
 def test_bounded_noise_cannot_exceed_re_on_large_counts():
-    areas = [
-        AreaRecord(area_id="A%d" % i, country="X", f=30 + i, m=30, t=60 + i)
-        for i in range(50)
-    ]
+    areas = Areas.from_records(
+        [AreaRecord(area_id="A%d" % i, country="X", f=30 + i, m=30, t=60 + i) for i in range(50)]
+    )
     tallies = sample_distortions(areas, CellKey(variance=2.0, bound=5), 5, [0.2])
     # all true counts exceed 25, so |noise| <= 5 can never exceed RE 20%
     assert tallies[0].single == 0
@@ -365,10 +376,11 @@ def test_sample_matches_binned_estimate():
 
 def test_sample_without_areas_draws_nothing(monkeypatch):
     monkeypatch.setattr(utility, "sample_noise", lambda *args: pytest.fail("drew noise for no areas"))
-    tallies = sample_distortions([], Laplace(epsilon=0.1), 1, [0.5, 2.0])
+    no_areas = Areas.from_records([])
+    tallies = sample_distortions(no_areas, Laplace(epsilon=0.1), 1, [0.5, 2.0])
     assert [dataclasses.astuple(t) for t in tallies] == [(0.5, 0, 0, 0), (2.0, 0, 0, 0)]
     with pytest.raises(DomainError, match="must be positive"):
-        sample_distortions([], Laplace(epsilon=0.1), 1, [0.5, 0.0])
+        sample_distortions(no_areas, Laplace(epsilon=0.1), 1, [0.5, 0.0])
 
 
 def test_broadband_bounded_by_components():
@@ -515,6 +527,13 @@ def test_scan_validation():
         scan_ve([2.0], [5], m_avail=0.0)
     with pytest.raises(DomainError):
         scan_ve([2.0], [5], m_avail=math.nan)
+    # alpha and k/t^2 are checked before the grid, so a grid of only infeasible cells rejects them too
+    for alpha in (5.0, 0.0, math.nan):
+        with pytest.raises(DomainError, match="alpha must lie in \\(0,1\\)"):
+            scan_ve([100.0], [1, 2], m_avail=2.8e7, alpha=alpha)
+    for kt2 in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError, match="kt2 must be positive"):
+            scan_ve([100.0], [1], m_avail=1.0, kt2=kt2)
     with pytest.raises(DomainError):
         scan_eps([0.1], [], 20.0, 68.0)
     with pytest.raises(DomainError, match="finite"):
