@@ -447,7 +447,12 @@ def account_group():
 @click.option("--eps", type=float, required=True)
 @click.option("--out", type=click.Path(), default=None)
 def cmd_delta(dist, bound, variance, eps, out):
-    """Tightest delta of a finite noise pmf at a given epsilon."""
+    """Tightest delta of a finite noise pmf at a given epsilon.
+
+    The delta covers one count moving by one under one pmf. It does not cover
+    SPSN cell keys, which release every empty cell at -E: a record alone in its
+    cell is then perfectly distinguishable (delta = 1).
+    """
     # --eps is the accounting epsilon; of these laws only the geometric one also reads it
     spec = _spec_for(dist, eps if dist == "geometric" else None, variance, bound)
     delta = accounting.tightest_delta(spec.ptable().as_pmf(), eps)

@@ -5,7 +5,8 @@ distribution of small-area counts to estimate how many published counts
 exceed a relative error threshold; sampled runs cross-check the estimates.
 Small areas are held as one read-only (n, 3) int64 array of (f, m, t)
 counts (``Areas``), which both the histogram and the sampled tallies read
-directly.
+directly; a synthetic area's id and country are formatted from its row only
+when read.
 Two grid scans sweep the bounded-noise (V, E) plane and the per-count
 privacy budget range, recording every probability and feasibility flag per
 cell for external heat-map plotting.
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,20 +60,42 @@ class AreaRecord:
             raise DomainError(fault)
 
 
+class _RowStrings(Sequence[str]):
+    """Read-only strings whose item i is ``fmt.format(rows[i])``, formatted only when read."""
+
+    __slots__ = ("fmt", "rows")
+
+    def __init__(self, fmt: str, rows: range):
+        self.fmt, self.rows = fmt, rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i: int | slice) -> str | _RowStrings:
+        if isinstance(i, slice):
+            return _RowStrings(self.fmt, self.rows[i])
+        return self.fmt.format(self.rows[i])
+
+    def __iter__(self) -> Iterator[str]:
+        return map(self.fmt.format, self.rows)
+
+
 @dataclass(frozen=True, eq=False)
 class Areas(Sequence[AreaRecord]):
     """Small areas as one read-only (n, 3) int64 array of (f, m, t) plus ids and countries.
 
     The counts are copied and checked once, vectorised: f, m >= 0 and
     f + m = t in every row, the first bad area named in the DomainError.
+    Ids and countries read from a file are tuples of its strings; those of
+    synthetic areas are formatted from the row only when read.
     Indexing and iteration build ``AreaRecord``s on the fly; a slice is
     again ``Areas``. It is not a list: it compares equal only to itself,
     so compare ``list(areas)`` with a list of records.
     """
 
     counts: np.ndarray
-    area_ids: tuple[str, ...]
-    countries: tuple[str, ...]
+    area_ids: Sequence[str]
+    countries: Sequence[str]
 
     def __post_init__(self):
         counts = np.array(self.counts, order="C")
@@ -91,13 +114,10 @@ class Areas(Sequence[AreaRecord]):
             raise _AreaError(_area_fault(self.area_ids[row], *counts[row].tolist()), row)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "area_ids", tuple(self.area_ids))
-        object.__setattr__(self, "countries", tuple(self.countries))
-
-    @classmethod
-    def from_records(cls, records: Iterable[AreaRecord]) -> Areas:
-        """The areas of ``records``, in order."""
-        return _areas_from_rows([(a.area_id, a.country, a.f, a.m, a.t) for a in records])
+        for name in ("area_ids", "countries"):
+            strings = getattr(self, name)
+            if not isinstance(strings, _RowStrings):
+                object.__setattr__(self, name, tuple(strings))
 
     def __len__(self) -> int:
         return len(self.area_ids)
@@ -191,7 +211,10 @@ def read_areas_text(text: str) -> Areas:
 
 
 def synthetic_areas(count: int, seed) -> Areas:
-    """Log-uniform total counts on [1, 500], split by a fair binomial."""
+    """Log-uniform total counts on [1, 500], split by a fair binomial.
+
+    Area i's id is ``A{i:05d}`` and its country ``SYN``, formatted only when read.
+    """
     try:
         count = operator.index(count)
     except TypeError:
@@ -204,8 +227,8 @@ def synthetic_areas(count: int, seed) -> Areas:
     females = rng.binomial(totals, 0.5)
     return Areas(
         np.column_stack((females, totals - females, totals)),
-        tuple(map("A{:05d}".format, range(count))),
-        ("SYN",) * count,
+        _RowStrings("A{:05d}", range(count)),
+        _RowStrings("SYN", range(count)),
     )
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ def test_synthetic_areas_are_pinned():
     assert digest == "48d6729efe21d3393e1f50c4dc190529adeb335a75854af46ef5f09fdb11d34e"
 
 
+def test_synthetic_areas_keep_only_their_counts():
+    synthetic_areas(10, 1)  # warm-up: one-off allocations stay untraced
+    tracemalloc.start()
+    try:
+        areas = synthetic_areas(10**5, 1)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert areas.counts.nbytes == 2_400_000  # 2.29 MiB; one id string per area would add about 6.8 MiB
+    assert kept < 3 * 2**20
+
+
 def test_area_csv_roundtrip(tmp_path):
     areas = synthetic_areas(50, 4)
     path = tmp_path / "areas.csv"
@@ -177,13 +190,14 @@ def test_read_areas_text_names_the_physical_line():
 
 
 def test_observations_histogram_excludes_zeros():
-    areas = Areas.from_records([AreaRecord(area_id="A", country="X", f=0, m=4, t=4)])
+    areas = Areas(np.array([[0, 4, 4]], dtype=np.int64), ("A",), ("X",))
     hist = observations_histogram(areas, [0, 10])
     assert hist.bin_counts == (2,)  # m and t; the zero f is dropped
 
 
 def test_observations_histogram_of_no_areas_is_all_zero():
-    assert observations_histogram(Areas.from_records([]), [0, 10, 20, 50]).bin_counts == (0, 0, 0)
+    no_areas = Areas(np.empty((0, 3), dtype=np.int64), (), ())
+    assert observations_histogram(no_areas, [0, 10, 20, 50]).bin_counts == (0, 0, 0)
 
 
 def area_counts_by_record(areas, dtype):
@@ -195,6 +209,12 @@ def test_area_counts_equal_the_per_area_arrays():
     areas = synthetic_areas(3000, 8)
     assert areas.counts.dtype == np.int64 and areas.counts.shape == (3000, 3)
     assert np.array_equal(areas.counts.ravel(), area_counts_by_record(areas, np.int64))
+
+
+def areas_of_splits(splits):
+    """``Areas`` with area i's (f, m) from ``splits[i]``, t = f + m, id ``A{i}`` and country ``X``."""
+    counts = np.array([(f, m, f + m) for f, m in splits], dtype=np.int64).reshape(-1, 3)
+    return Areas(counts, tuple(f"A{i}" for i in range(len(splits))), ("X",) * len(splits))
 
 
 def histogram_by_loop(areas, edges):
@@ -214,9 +234,7 @@ def histogram_by_loop(areas, edges):
     st.lists(st.one_of(st.integers(-5, 700), st.floats(-5.0, 700.0)), min_size=1, max_size=12, unique=True),
 )
 def test_observations_histogram_matches_the_loop(splits, edges):
-    areas = Areas.from_records(
-        [AreaRecord(area_id=f"A{i}", country="X", f=f, m=m, t=f + m) for i, (f, m) in enumerate(splits)]
-    )
+    areas = areas_of_splits(splits)
     edges = sorted(edges)
     assume(all(a < b for a, b in zip(edges, edges[1:])))  # 1 and 1.0 are the same edge
     hist = observations_histogram(areas, edges)
@@ -266,9 +284,6 @@ def test_areas_index_and_iterate_as_records():
     assert all(type(v) is int for v in dataclasses.astuple(areas[5])[2:])
     with pytest.raises(IndexError):
         areas[20]
-    assert list(Areas.from_records(records)) == records
-    assert np.array_equal(Areas.from_records(records).counts, areas.counts)
-    assert list(Areas.from_records([])) == []
 
 
 def test_areas_slice_as_areas():
@@ -284,9 +299,9 @@ def test_areas_slice_as_areas():
 
 
 def test_records_too_large_for_int64_are_a_domain_error():
-    records = [AreaRecord("A", "X", 1, 1, 2), AreaRecord("B", "X", 2**63, 0, 2**63)]
-    with pytest.raises(DomainError, match="^area 'B': count does not fit a 64-bit integer$"):
-        Areas.from_records(records)
+    text = f"area_id,country,f,m,t\nA,X,1,1,2\nB,X,{2**63},0,{2**63}\n"
+    with pytest.raises(DomainError, match="^area CSV line 3: area 'B': count does not fit a 64-bit integer$"):
+        read_areas_text(text)
     text = "area_id,country,f,m,t\nA,X,1,2,3\n\nB,X,-100000000000000000000,1,-99999999999999999999\n"
     with pytest.raises(DomainError, match="^area CSV line 4: area 'B': count does not fit a 64-bit integer$"):
         read_areas_text(text)
@@ -336,8 +351,8 @@ LAWS = [
     st.sampled_from(LAWS),
 )
 def test_areas_agree_with_the_record_reference(splits, seed, spec):
-    records = [AreaRecord(f"A{i}", "X", f, m, f + m) for i, (f, m) in enumerate(splits)]
-    areas = Areas.from_records(records)
+    areas = areas_of_splits(splits)
+    records = list(areas)
     thresholds = [0.1, 0.5, 2.0]
     tallies = sample_distortions(areas, spec, seed, thresholds)
     assert [dataclasses.astuple(t) for t in tallies] == distortions_by_record(records, spec, seed, thresholds)
@@ -355,9 +370,7 @@ def test_array_thresholds_give_the_list_tallies():
 
 
 def test_bounded_noise_cannot_exceed_re_on_large_counts():
-    areas = Areas.from_records(
-        [AreaRecord(area_id="A%d" % i, country="X", f=30 + i, m=30, t=60 + i) for i in range(50)]
-    )
+    areas = areas_of_splits([(30 + i, 30) for i in range(50)])
     tallies = sample_distortions(areas, CellKey(variance=2.0, bound=5), 5, [0.2])
     # all true counts exceed 25, so |noise| <= 5 can never exceed RE 20%
     assert tallies[0].single == 0
@@ -376,7 +389,7 @@ def test_sample_matches_binned_estimate():
 
 def test_sample_without_areas_draws_nothing(monkeypatch):
     monkeypatch.setattr(utility, "sample_noise", lambda *args: pytest.fail("drew noise for no areas"))
-    no_areas = Areas.from_records([])
+    no_areas = Areas(np.empty((0, 3), dtype=np.int64), (), ())
     tallies = sample_distortions(no_areas, Laplace(epsilon=0.1), 1, [0.5, 2.0])
     assert [dataclasses.astuple(t) for t in tallies] == [(0.5, 0, 0, 0), (2.0, 0, 0, 0)]
     with pytest.raises(DomainError, match="must be positive"):
