@@ -2,7 +2,8 @@
 
 Guarantee checks are computed for the unit-shift neighboring pair (person
 counts change by exactly 1), which is the relevant setting for census-like
-tabulations.  Natural logarithms are used throughout.
+tabulations.  Natural logarithms are used throughout.  The epsilon checks of
+:mod:`sdcnoise.noise` load on call, so importing this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ import math
 from collections.abc import Mapping, Sequence
 
 from .errors import DomainError
-from .noise import check_epsilon
 from .tables import StatisticKey, TableProgramme
-from .utility import dp_utility_eps
 
 
 def reid_rate(r_recon: float, r_match: float) -> float:
@@ -97,6 +96,7 @@ def sensitivity(
 
 def halving_schedule(global_epsilon: float, i: int) -> float:
     """Budget eps/2^i of the i-th call under the iterative halving schedule (0 once it underflows)."""
+    from .noise import check_epsilon
     check_epsilon(global_epsilon)
     if i < 1:
         raise DomainError(f"call index must be >= 1, got {i}")
@@ -107,6 +107,7 @@ def eps_alpha_n(n: int, alpha: float) -> float:
     """Per-query epsilon above which a size-n database is reconstructable at
     confidence alpha (Dinur & Nissim): the budget keeping t = n log^2 n
     outputs within sqrt(n)."""
+    from .utility import dp_utility_eps
     if n < 2:
         raise DomainError(f"database size must be >= 2, got {n}")
     return dp_utility_eps(math.sqrt(n), n * math.log(n) ** 2, alpha)
@@ -114,6 +115,7 @@ def eps_alpha_n(n: int, alpha: float) -> float:
 
 def noise_scale_for_global(global_epsilon: float, t: float) -> float:
     """Per-count Laplace noise scale sqrt(2)*t/eps under an even eps/t split."""
+    from .noise import check_epsilon
     check_epsilon(global_epsilon)
     if not t > 0:
         raise DomainError(f"output complexity must be positive, got {t}")
@@ -123,6 +125,7 @@ def noise_scale_for_global(global_epsilon: float, t: float) -> float:
 def us_table_budget(global_epsilon: float, rounded: bool = True) -> float:
     """Per-table budget: 67.5% of a 1/6 geography share, i.e. 0.1125*eps exactly,
     or the working approximation 0.10*eps when ``rounded``."""
+    from .noise import check_epsilon
     check_epsilon(global_epsilon)
     share = 0.10 if rounded else 0.675 / 6.0
     return share * global_epsilon

@@ -7,22 +7,27 @@ seed, so that every disclosure-control decision leaves an audit trail.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (infeasible parameters,
 bad programme files, ...).
+
+Each command imports the library modules it runs inside its own function, so
+``--help``, usage errors, ``analyze`` and ``account sensitivity`` start
+without numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import secrets
 import sys
 from importlib import resources
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
 from . import __version__
 from .errors import DomainError
-from . import accounting, attacks, noise, redundancy, tables, utility
+
+if TYPE_CHECKING:
+    from . import noise, tables, utility
 
 _DEMOS = {
     "sex-age": "demo_sex_age.json",
@@ -47,6 +52,7 @@ def _read_input(path: str | None, bundled: str) -> str:
 
 
 def _load_programme_arg(value: str) -> tables.TableProgramme:
+    from . import tables
     if value in _DEMOS:
         return tables.parse_programme(_data_text(_DEMOS[value]))
     return tables.load_programme(value)
@@ -54,6 +60,7 @@ def _load_programme_arg(value: str) -> tables.TableProgramme:
 
 def _resolve_seed(seed: int | None) -> int:
     if seed is None:
+        import secrets
         seed = secrets.randbelow(2**31)
         click.echo(f"generated seed: {seed}", err=True)
     return seed
@@ -161,6 +168,7 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
             raise click.UsageError(f"{flag} is required for the {law} law")
         if value is not None and flag not in required | optional:
             raise click.UsageError(f"{flag} is not read by the {law} law")
+    from . import noise
     if law == "laplace":
         return noise.Laplace(epsilon=eps)
     if law == "geometric":
@@ -178,6 +186,7 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
 @click.option("--out", type=click.Path(), default=None)
 def cmd_ptable(variance, bound, out):
     """Generate a maximum-entropy lookup table and write it as CSV."""
+    from . import noise
     ptable = noise.gen_ptable(variance, bound)
     _write_csv(
         out,
@@ -203,6 +212,7 @@ def cmd_analyze(programme, spsn, geo_override, order, out):
     PROGRAMME is a JSON file path or one of the bundled demos:
     sex-age, duplicated, desk.
     """
+    from . import redundancy
     prog = _load_programme_arg(programme)
     overrides = {}
     for item in geo_override:
@@ -246,6 +256,7 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     """Probability and 3-tuple complexity of disclosing the noise bound."""
     if seed is not None and streams == 0:
         raise click.UsageError("--seed is not read without --streams: the analytic figure samples nothing")
+    from . import attacks
     ptable = _spec_for(dist, None, variance, bound).ptable()
     p1 = float(attacks.p1_exact(ptable.probabilities, bound))
     m = attacks.tuples_needed(p1, alpha)
@@ -275,6 +286,7 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_margin(bound, input_path, out):
     """Scan constraint tuples for the all-extreme noise pattern."""
+    from . import attacks
     rows = []
     for number, line in enumerate(_read_input(input_path, "margin_demo.csv").splitlines(), start=1):
         if line.strip() and not line.startswith("#"):
@@ -307,6 +319,7 @@ def cmd_averaging(variance, bound, k, t, trials, seed, xi, out):
     """Monte Carlo averaging attack on synthetic redundancy (k, t)."""
     if trials > 0 and k * trials > _MAX_DRAWS:  # a negative k or trials is averaging_mc's domain error
         raise click.UsageError(f"--k {k} by --trials {trials} draws more than {_MAX_DRAWS} noise values")
+    from . import attacks, noise
     seed = _resolve_seed(seed)
     ptable = noise.gen_ptable(variance, bound)
     report = attacks.averaging_mc(ptable, k, t, trials, seed, xi)
@@ -328,6 +341,7 @@ def utility_group():
 def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
     """Expected relative-error exceedances per count bin."""
     _check_rows(-(-max_count // bin_width), f"a histogram up to {max_count} in bins of {bin_width}")
+    from . import utility
     records = utility.read_areas_text(_read_input(areas, "synth_areas.csv"))
     edges = list(range(0, max_count + bin_width, bin_width))
     hist = utility.observations_histogram(records, edges)
@@ -354,6 +368,7 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, out):
     """Sample noise on area counts and tally distortions per threshold."""
+    from . import utility
     records = utility.read_areas_text(_read_input(areas, "synth_areas.csv"))
     spec = _spec_for(mech, eps, variance, bound)
     seed = _resolve_seed(seed)
@@ -380,6 +395,7 @@ def _grid_range(lo: float, hi: float, step: float) -> list[float]:
         raise click.UsageError("need finite bounds and step, step > 0 and max >= min")
     # np.arange makes ceil of this many values; a span that overflows makes it inf
     _check_rows((hi + step / 2 - lo) / step, f"a grid from {lo} to {hi} in steps of {step}")
+    import numpy as np
     return [float(f"{v:.12g}") for v in np.arange(lo, hi + step / 2, step)]
 
 
@@ -403,6 +419,7 @@ def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
     if e_max < e_min:
         raise click.UsageError(f"--e-max {e_max} is below --e-min {e_min}: the E range is empty")
     _check_rows(len(v_values) * (e_max - e_min + 1), f"a {len(v_values)} by {e_max - e_min + 1} (V, E) grid")
+    from . import utility
     grid = utility.scan_ve(v_values, list(range(e_min, e_max + 1)), m_avail, kt2=kt2, alpha=alpha)
     _write_grid(out, _header("scan ve", {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}), grid)
 
@@ -418,13 +435,9 @@ def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_scan_eps(eps_min, eps_max, eps_step, kt2_values, e_alpha, t_lau, alpha, out):
     """Scan the per-count privacy budget range."""
-    grid = utility.scan_eps(
-        _grid_range(eps_min, eps_max, eps_step),
-        list(kt2_values),
-        e_alpha,
-        t_lau,
-        alpha=alpha,
-    )
+    eps_values = _grid_range(eps_min, eps_max, eps_step)
+    from . import utility
+    grid = utility.scan_eps(eps_values, list(kt2_values), e_alpha, t_lau, alpha=alpha)
     _write_grid(
         out,
         _header(
@@ -455,6 +468,7 @@ def cmd_delta(dist, bound, variance, eps, out):
     """
     # --eps is the accounting epsilon; of these laws only the geometric one also reads it
     spec = _spec_for(dist, eps if dist == "geometric" else None, variance, bound)
+    from . import accounting
     delta = accounting.tightest_delta(spec.ptable().as_pmf(), eps)
     _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)
 
@@ -472,6 +486,7 @@ def cmd_delta(dist, bound, variance, eps, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_sensitivity(programme, queries, spsn, out):
     """Global L1 sensitivity of a set of requested tabulations."""
+    from . import accounting, tables
     prog = _load_programme_arg(programme)
     keys = []
     for q in queries:
@@ -488,6 +503,7 @@ def cmd_sensitivity(programme, queries, spsn, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_budget(global_eps, rounded, halving, out):
     """Per-table budget presets and the iterative halving schedule."""
+    from . import accounting, noise
     payload: dict = {"global_eps": global_eps}
     table_eps = accounting.us_table_budget(global_eps, rounded=rounded)
     payload["table_eps"] = table_eps

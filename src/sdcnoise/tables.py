@@ -5,7 +5,9 @@ cross-tabulations published over them.  Totals are never stored as
 categories: the total margin of any variable arises only by summing the
 variable out completely, i.e. by dropping it from the statistic key.
 Tabulation counts integer category codes into a row-major numpy cube with
-one axis per sorted breakdown id; a marginal sums the dropped axes.
+one axis per sorted breakdown id; a marginal sums the dropped axes.  Only
+:func:`encode` and :func:`table_counts` use numpy, and they import it, so
+reading a programme does not.
 
 Everything here is immutable after construction.  A :class:`Microdata`
 memoises its category codes and table cubes in ``codes``, and the release
@@ -24,10 +26,12 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ProgrammeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Cell = tuple[str, ...]
 
@@ -267,6 +271,7 @@ def encode(programme: TableProgramme, data: Microdata, ids: Iterable[str]) -> di
     The read-only code arrays are memoised on ``data.codes`` by breakdown id
     and category order, so each column is encoded once per ordering.
     """
+    import numpy as np
     keys = {bid: (bid, programme.breakdown(bid).categories) for bid in ids}
     missing = [bid for bid, key in keys.items() if key not in data.codes]
     columns = (list(zip(*data.records)) or [()] * len(data.columns)) if missing else []
@@ -291,6 +296,7 @@ def table_counts(
 
     Both read-only arrays are memoised on ``data.codes`` by the ids and their category orders.
     """
+    import numpy as np
     key = tuple((bid, programme.breakdown(bid).categories) for bid in ids)
     if key not in data.codes:
         codes = encode(programme, data, ids)

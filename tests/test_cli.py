@@ -543,3 +543,50 @@ def test_readme_cli_examples_run(tmp_path, line):
                           cwd=tmp_path, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# A fresh child that imports the named modules (after "--import") or runs
+# ``python -m sdcnoise`` with its arguments, then prints its exit code and loaded modules.
+IMPORT_GRAPH_CHILD = """import json, runpy, sys
+code = 0
+if sys.argv[1] == "--import":
+    for name in sys.argv[2:]:
+        __import__(name)
+else:
+    try:
+        runpy.run_module("sdcnoise", run_name="__main__")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+# case: (child arguments, exit code, the sdcnoise modules it may load)
+IMPORT_GRAPH = {
+    "import cli": (["--import", "sdcnoise.cli"], 0, {"cli", "errors"}),
+    "import tables redundancy accounting": (
+        ["--import", "sdcnoise.tables", "sdcnoise.redundancy", "sdcnoise.accounting"], 0,
+        {"tables", "redundancy", "accounting", "errors"},
+    ),
+    "help": (["--help"], 0, {"cli", "errors"}),
+    "usage error": (["scan", "ve"], 1, {"cli", "errors"}),
+    "analyze": (["analyze", "desk", "--spsn"], 0, {"cli", "errors", "data", "tables", "redundancy"}),
+    "analyze missing file": (["analyze", "{tmp}/missing.json"], 2, {"cli", "errors", "tables", "redundancy"}),
+    "account sensitivity": (["account", "sensitivity", "sex-age", "--query", "SEX", "--query", "total"], 0,
+                            {"cli", "errors", "data", "tables", "accounting"}),
+    "ptable": (["ptable", "--v", "2", "--e", "5"], 0, {"cli", "errors", "noise", "data"}),
+}
+
+
+@pytest.mark.parametrize("args, code, allowed", IMPORT_GRAPH.values(), ids=IMPORT_GRAPH.keys())
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, code, allowed):
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_CHILD, *(a.format(tmp=tmp_path) for a in args)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == code, proc.stderr
+    assert {m.split(".")[1] for m in modules if m.startswith("sdcnoise.")} <= allowed
+    if "noise" not in allowed:  # of these cases, only the noise layer needs numpy
+        assert "numpy" not in modules
