@@ -3,7 +3,8 @@
 Guarantee checks are computed for the unit-shift neighboring pair (person
 counts change by exactly 1), which is the relevant setting for census-like
 tabulations.  Natural logarithms are used throughout.  The epsilon checks of
-:mod:`sdcnoise.noise` load on call, so importing this module loads no numpy.
+:mod:`sdcnoise.noise` load on call and :mod:`sdcnoise.tables` is imported only
+for annotations, so importing this module loads neither numpy nor ``tables``.
 """
 
 from __future__ import annotations
@@ -11,9 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .tables import StatisticKey, TableProgramme
+
+if TYPE_CHECKING:
+    from .tables import StatisticKey, TableProgramme
 
 
 def reid_rate(r_recon: float, r_match: float) -> float:

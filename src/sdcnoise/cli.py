@@ -510,6 +510,8 @@ def cmd_budget(global_eps, rounded, halving, out):
     payload["table_noise_variance"] = noise.laplace_variance(table_eps)
     if halving is not None:
         eps_i = accounting.halving_schedule(global_eps, halving)
+        if eps_i == 0.0:
+            raise DomainError(f"the halving budget eps/2^i underflows to 0 at --halving {halving}")
         payload["halving_i"] = halving
         payload["halving_eps"] = eps_i
         payload["halving_noise_scale"] = noise.laplace_variance(eps_i) ** 0.5

@@ -5,8 +5,7 @@ distribution of small-area counts to estimate how many published counts
 exceed a relative error threshold; sampled runs cross-check the estimates.
 Small areas are held as one read-only (n, 3) int64 array of (f, m, t)
 counts (``Areas``), which both the histogram and the sampled tallies read
-directly; a synthetic area's id and country are formatted from its row only
-when read.
+directly; areas read from a file also keep their ids, to name a bad area.
 Two grid scans sweep the bounded-noise (V, E) plane and the per-count
 privacy budget range, recording every probability and feasibility flag per
 cell for external heat-map plotting.
@@ -27,12 +26,12 @@ from .errors import DomainError, InfeasibleError
 from .noise import NoiseSpec, check_epsilon, gen_ptable, laplace_variance, sample_noise
 
 
-def _area_fault(area_id: str, f: int, m: int, t: int) -> str | None:
-    """Why one area's counts are invalid, or None when f, m >= 0 and f + m = t."""
+def _area_fault(where: str, f: int, m: int, t: int) -> str | None:
+    """Why the counts of the area ``where`` names are invalid, or None when f, m >= 0 and f + m = t."""
     if f < 0 or m < 0:
-        return f"negative count in area {area_id!r}"
+        return f"negative count in area{where}"
     if f + m != t:
-        return f"area {area_id!r}: f + m = {f + m} != t = {t}"
+        return f"area{where}: f + m = {f + m} != t = {t}"
     return None
 
 
@@ -46,101 +45,57 @@ class _AreaError(DomainError):
 
 @dataclass(frozen=True, slots=True)
 class AreaRecord:
-    """One small administrative area with its sex-split population counts."""
+    """The sex-split (f, m, t) population counts of one small area."""
 
-    area_id: str
-    country: str
     f: int
     m: int
     t: int
 
     def __post_init__(self):
-        fault = _area_fault(self.area_id, self.f, self.m, self.t)
+        fault = _area_fault("", self.f, self.m, self.t)
         if fault:
             raise DomainError(fault)
 
 
-class _RowStrings(Sequence[str]):
-    """Read-only strings whose item i is ``fmt.format(rows[i])``, formatted only when read."""
-
-    __slots__ = ("fmt", "rows")
-
-    def __init__(self, fmt: str, rows: range):
-        self.fmt, self.rows = fmt, rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i: int | slice) -> str | _RowStrings:
-        if isinstance(i, slice):
-            return _RowStrings(self.fmt, self.rows[i])
-        return self.fmt.format(self.rows[i])
-
-    def __iter__(self) -> Iterator[str]:
-        return map(self.fmt.format, self.rows)
-
-
 @dataclass(frozen=True, eq=False)
-class Areas(Sequence[AreaRecord]):
-    """Small areas as one read-only (n, 3) int64 array of (f, m, t) plus ids and countries.
+class Areas:
+    """Small areas as one read-only (n, 3) int64 array of (f, m, t), plus the ids of a file's areas.
 
     The counts are copied and checked once, vectorised: f, m >= 0 and
-    f + m = t in every row, the first bad area named in the DomainError.
-    Ids and countries read from a file are tuples of its strings; those of
-    synthetic areas are formatted from the row only when read.
-    Indexing and iteration build ``AreaRecord``s on the fly; a slice is
-    again ``Areas``. It is not a list: it compares equal only to itself,
-    so compare ``list(areas)`` with a list of records.
+    f + m = t in every row, the first bad area named in the DomainError by
+    its id, or by its 0-based row when the areas have no ids (``area_ids``
+    is None). Iteration builds ``AreaRecord``s of the counts on the fly;
+    there is no indexing or slicing, so read ``counts`` for that.
     """
 
     counts: np.ndarray
-    area_ids: Sequence[str]
-    countries: Sequence[str]
+    area_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
         counts = np.array(self.counts, order="C")
         if counts.dtype != np.int64 or counts.ndim != 2 or counts.shape[1] != 3:
             raise DomainError(f"area counts must be an (n, 3) int64 array, got {counts.dtype} {counts.shape}")
-        n = len(counts)
-        if len(self.area_ids) != n or len(self.countries) != n:
-            raise DomainError(
-                f"{n} areas need {n} ids and countries, got {len(self.area_ids)} and {len(self.countries)}"
-            )
+        n, ids = len(counts), self.area_ids
+        if ids is not None:
+            ids = tuple(ids)
+            if len(ids) != n:
+                raise DomainError(f"{n} areas need {n} ids, got {len(ids)}")
         f, m, t = counts.T
         # with f, m, t >= 0 an f + m that wraps in int64 is negative, so it cannot equal t
         bad = (f < 0) | (m < 0) | (t < 0) | (f + m != t)
         if bad.any():
             row = int(bad.argmax())
-            raise _AreaError(_area_fault(self.area_ids[row], *counts[row].tolist()), row)
+            where = f" at row {row}" if ids is None else f" {ids[row]!r}"
+            raise _AreaError(_area_fault(where, *counts[row].tolist()), row)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        for name in ("area_ids", "countries"):
-            strings = getattr(self, name)
-            if not isinstance(strings, _RowStrings):
-                object.__setattr__(self, name, tuple(strings))
+        object.__setattr__(self, "area_ids", ids)
 
     def __len__(self) -> int:
-        return len(self.area_ids)
-
-    def __getitem__(self, i: int | slice) -> AreaRecord | Areas:
-        if isinstance(i, slice):
-            return Areas(self.counts[i], self.area_ids[i], self.countries[i])
-        return AreaRecord(self.area_ids[i], self.countries[i], *self.counts[i].tolist())
+        return len(self.counts)
 
     def __iter__(self) -> Iterator[AreaRecord]:
-        return map(AreaRecord, self.area_ids, self.countries, *self.counts.T.tolist())
-
-
-def _areas_from_rows(rows: list[tuple[str, str, int, int, int]]) -> Areas:
-    """Areas from (area_id, country, f, m, t) rows; a fault names its row in an ``_AreaError``."""
-    values = [row[2:] for row in rows]
-    try:
-        counts = np.array(values, dtype=np.int64).reshape(-1, 3)
-    except OverflowError:
-        limits = np.iinfo(np.int64)
-        row = next(i for i, v in enumerate(values) if not all(limits.min <= c <= limits.max for c in v))
-        raise _AreaError(f"area {rows[row][0]!r}: count does not fit a 64-bit integer", row) from None
-    return Areas(counts, tuple(row[0] for row in rows), tuple(row[1] for row in rows))
+        return map(AreaRecord, *self.counts.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -189,6 +144,7 @@ def read_areas_text(text: str) -> Areas:
 
     Each row's fields are parsed as it is read; the counts are then checked
     at once, as one int64 array, and a fault there also names its line.
+    The country column is required but not kept.
     """
     reader = csv.reader(text.splitlines())
     rows = ((reader.line_num, r) for r in reader if r and not r[0].startswith("#"))
@@ -196,25 +152,31 @@ def read_areas_text(text: str) -> Areas:
     header = next(rows, (0, "an empty file"))[1]
     if header != expected:
         raise DomainError(f"area CSV header must be {expected}, got {header}")
-    lines, parsed = [], []
+    lines, ids, values = [], [], []
     for line, row in rows:
         try:
-            area_id, country, f, m, t = row
-            parsed.append((area_id, country, int(f), int(m), int(t)))
+            area_id, _country, f, m, t = row
+            values.append((int(f), int(m), int(t)))
         except ValueError as exc:
             raise DomainError(f"area CSV line {line}: {exc}") from exc
         lines.append(line)
+        ids.append(area_id)
     try:
-        return _areas_from_rows(parsed)
+        counts = np.array(values, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        limits = np.iinfo(np.int64)
+        row = next(i for i, v in enumerate(values) if not all(limits.min <= c <= limits.max for c in v))
+        raise DomainError(
+            f"area CSV line {lines[row]}: area {ids[row]!r}: count does not fit a 64-bit integer"
+        ) from None
+    try:
+        return Areas(counts, ids)
     except _AreaError as exc:
         raise DomainError(f"area CSV line {lines[exc.row]}: {exc}") from exc
 
 
 def synthetic_areas(count: int, seed) -> Areas:
-    """Log-uniform total counts on [1, 500], split by a fair binomial.
-
-    Area i's id is ``A{i:05d}`` and its country ``SYN``, formatted only when read.
-    """
+    """Log-uniform total counts on [1, 500], split by a fair binomial; the areas have no ids."""
     try:
         count = operator.index(count)
     except TypeError:
@@ -225,11 +187,7 @@ def synthetic_areas(count: int, seed) -> Areas:
     totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(np.int64)
     totals = np.clip(totals, 1, 500)
     females = rng.binomial(totals, 0.5)
-    return Areas(
-        np.column_stack((females, totals - females, totals)),
-        _RowStrings("A{:05d}", range(count)),
-        _RowStrings("SYN", range(count)),
-    )
+    return Areas(np.column_stack((females, totals - females, totals)))
 
 
 def observations_histogram(areas: Areas, edges: Sequence[float]) -> CountHistogram:

@@ -381,6 +381,13 @@ def test_exit_contract(tmp_path, args, code):
         assert len(proc.stderr.splitlines()) == 1
 
 
+def test_budget_halving_names_its_underflow():
+    # the budget-halving-2000 probe: eps/2^i is 0, an epsilon the user never gave
+    proc = run_cli(*EXIT_PROBES["budget-halving-2000"][0], check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the halving budget eps/2^i underflows to 0 at --halving 2000\n"
+
+
 # Every law choice of every command: the command with its fixed options, the law
 # option and choice, the law options it needs, and a given option it does not read
 # (None where the command has no such option).
@@ -573,6 +580,9 @@ IMPORT_GRAPH = {
     "account sensitivity": (["account", "sensitivity", "sex-age", "--query", "SEX", "--query", "total"], 0,
                             {"cli", "errors", "data", "tables", "accounting"}),
     "ptable": (["ptable", "--v", "2", "--e", "5"], 0, {"cli", "errors", "noise", "data"}),
+    "account budget": (["account", "budget", "--global-eps", "1"], 0, {"cli", "errors", "accounting", "noise"}),
+    "account delta": (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1"], 0,
+                      {"cli", "errors", "accounting", "noise"}),
 }
 
 
