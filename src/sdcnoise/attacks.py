@@ -5,6 +5,10 @@ linearly constrained 3-tuples, exploiting margins once the bound is known,
 and removing noise by averaging redundant representations.  Exact
 probabilities come from discrete convolution; Monte Carlo harnesses are
 seeded and reproducible.
+
+Only the Monte Carlo harnesses and the release pipeline import numpy, so
+importing this module, the exact probabilities (:func:`p1_exact` on a list)
+and the margin scan load no numpy.
 """
 
 from __future__ import annotations
@@ -13,14 +17,16 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .noise import CellKey, NoiseSpec, PTable, check_bound, sample_noise
 from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
 from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
 from .tables import encode, table_counts
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The most uniforms a Monte Carlo harness draws at once: its memory stays
 # bounded however many tuples, trials or draws per trial it simulates.
@@ -29,6 +35,7 @@ _BLOCK = 2**16
 
 def _recorded_seed(seed) -> int | None:
     """An integer seed, numpy's included, as the int a report records; any other seed as None."""
+    import numpy as np
     return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
@@ -117,6 +124,7 @@ def bound_disclosure_mc(ptable: PTable, m: int, streams: int, seed) -> AttackRep
     read from one draw stream in (stream, tuple) order, in blocks of at most
     ``_BLOCK`` draws, so memory holds one block and one flag per stream.
     """
+    import numpy as np
     if m < 1 or streams < 1:
         raise DomainError("stream length and count must be positive")
     rng = np.random.default_rng(seed)
@@ -169,6 +177,7 @@ def margin_exploit_mc(ptable: PTable, count: int, seed) -> AttackReport:
     All true counts are drawn first; the noise then comes from the same draw
     stream in blocks of at most ``_BLOCK`` draws, each block scanned in turn.
     """
+    import numpy as np
     if count < 1:
         raise DomainError("tuple count must be positive")
     rng = np.random.default_rng(seed)
@@ -220,6 +229,7 @@ def averaging_mc(
     The trials' draws are read from one draw stream in blocks of at most
     ``_BLOCK`` draws: several trials a block, or a trial over several blocks.
     """
+    import numpy as np
     if k < t or t < 1 or trials < 1:
         raise DomainError("need k >= t >= 1 and positive trials")
     probability = averaging_success(ptable.variance(), k, t, xi)  # rejects xi before any draw
@@ -294,6 +304,7 @@ def perturb_outputs(
     through the same plan in uint64, which wraps as sums mod one do, and
     looks every cell key up in the p-table at once.
     """
+    import numpy as np
     rng = np.random.default_rng(seed) if spec is not None else None  # exact releases ignore the seed
     _, offsets, shapes, sum_index, labels = _release_plan(programme)
     flats, counts, exact_cubes, exact_dicts = _exact_statistics(programme, data)
@@ -320,6 +331,7 @@ def _rows(sizes: Mapping[str, int], offset: int, ids: frozenset[str], summed_out
 
     Rows follow that statistic's row-major order; each row lists the cells summed into it.
     """
+    import numpy as np
     order = sorted(ids)
     cube = offset + np.arange(math.prod(sizes[b] for b in order)).reshape([sizes[b] for b in order])
     axes = np.argsort([bid in summed_out for bid in order], kind="stable")  # summed-out axes last
@@ -331,6 +343,7 @@ def _row_groups(groups: dict) -> tuple[dict, list[np.ndarray]]:
 
     C-contiguous, as a gather keeps its index's layout and only C order reduces a row as a contiguous slice.
     """
+    import numpy as np
     blocks, index, stop = {}, [], 0
     for _, group in sorted(groups.items()):
         for name, rows in group.items():
@@ -379,6 +392,7 @@ def _exact_statistics(programme: TableProgramme, data: Microdata):
     read-only vector of every statistic's counts in the release plan's
     layout, each statistic's cube (a view of it) and its cell dict.
     """
+    import numpy as np
     tables, _, shapes, sum_index, labels = _release_plan(programme)
     key = ("exact", tuple(tuple((bid, programme.breakdowns[bid].categories) for bid in ids) for ids in tables))
     if key not in data.codes:
@@ -405,6 +419,7 @@ def _attack_plan(programme: TableProgramme, spsn: bool, optimize: bool):
     from the cardinalities, never from a release.
     """
     if (spsn, optimize) not in programme.plans:
+        import numpy as np
         sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
         stats = dict.fromkeys(stat for _, stat in programme.released)
         keys = [(None, stat) for stat in stats] if spsn else list(programme.released)
@@ -440,6 +455,7 @@ def averaging_estimates(
     released from.
     """
     if (ids, optimize) not in output.estimates:
+        import numpy as np
         keys, shapes, cells, groups = _attack_plan(programme, output.spsn, optimize)
         if ids not in shapes:
             enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)  # names the unknown id or missing table

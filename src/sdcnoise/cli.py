@@ -8,9 +8,12 @@ seed, so that every disclosure-control decision leaves an audit trail.
 Exit codes: 0 success, 1 usage error, 2 domain error (infeasible parameters,
 bad programme files, ...).
 
-Each command imports the library modules it runs inside its own function, so
-``--help``, usage errors, ``analyze`` and ``account sensitivity`` start
-without numpy.
+Each command imports the library modules it runs inside its own function,
+and the library imports numpy only where it builds arrays.  So ``--help``,
+usage errors, ``analyze``, ``attack margin``, ``scan eps``, ``account
+sensitivity`` and ``account budget`` start without numpy, and so do the
+uniform law of ``account delta`` and of ``attack bound-disclosure`` without
+``--streams``.
 """
 
 from __future__ import annotations
@@ -156,11 +159,11 @@ _LAW_OPTIONS = {
 }
 
 
-def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | None) -> noise.NoiseSpec:
-    """The one place a law name and its options become a noise spec.
+def _check_law_options(law: str, eps: float | None, variance: float | None, bound: int | None) -> None:
+    """Usage error for a missing option the law needs or a given option it does not read.
 
-    A missing option the law needs, or a given option it does not read, is a usage
-    error, so no output records a parameter that did not shape the noise.
+    So no output records a parameter that did not shape the noise.  Commands that
+    need only a law's probabilities call this without building a spec.
     """
     required, optional = _LAW_OPTIONS[law]
     for flag, value in (("--eps", eps), ("--v", variance), ("--e", bound)):
@@ -168,6 +171,11 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
             raise click.UsageError(f"{flag} is required for the {law} law")
         if value is not None and flag not in required | optional:
             raise click.UsageError(f"{flag} is not read by the {law} law")
+
+
+def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | None) -> noise.NoiseSpec:
+    """The one place a law name and its checked options become a noise spec."""
+    _check_law_options(law, eps, variance, bound)
     from . import noise
     if law == "laplace":
         return noise.Laplace(epsilon=eps)
@@ -178,6 +186,15 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
     if law == "uniform":
         variance = noise.uniform_max_variance(bound)
     return noise.CellKey(variance=variance, bound=bound)
+
+
+def _max_entropy_pmf(law: str, variance: float | None, bound: int) -> list[float]:
+    """The probabilities of {-E..E} under the uniform or ptable law, its options checked, with no p-table built."""
+    _check_law_options(law, None, variance, bound)
+    from . import noise
+    if law == "uniform":
+        variance = noise.uniform_max_variance(bound)
+    return noise.max_entropy_pmf(variance, bound)
 
 
 @cli.command("ptable")
@@ -256,15 +273,15 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     """Probability and 3-tuple complexity of disclosing the noise bound."""
     if seed is not None and streams == 0:
         raise click.UsageError("--seed is not read without --streams: the analytic figure samples nothing")
-    from . import attacks
-    ptable = _spec_for(dist, None, variance, bound).ptable()
-    p1 = float(attacks.p1_exact(ptable.probabilities, bound))
+    pmf = _max_entropy_pmf(dist, variance, bound)
+    from . import attacks, noise
+    p1 = float(attacks.p1_exact(pmf, bound))
     m = attacks.tuples_needed(p1, alpha)
     if streams > 0:
         if not streams * m * 3 <= _MAX_DRAWS:  # m = inf when p1 = 0
             raise DomainError(f"p1 = {p1!r}, m = {m:.4g}: {streams} streams draw more than {_MAX_DRAWS} noise values")
         seed = _resolve_seed(seed)
-        report = attacks.bound_disclosure_mc(ptable, int(m), streams, seed)
+        report = attacks.bound_disclosure_mc(noise.PTable(bound=bound, probabilities=pmf), int(m), streams, seed)
     else:
         report = attacks.AttackReport(
             attack="BoundDisclosure",
@@ -393,10 +410,13 @@ def scan_group():
 def _grid_range(lo: float, hi: float, step: float) -> list[float]:
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
         raise click.UsageError("need finite bounds and step, step > 0 and max >= min")
-    # np.arange makes ceil of this many values; a span that overflows makes it inf
-    _check_rows((hi + step / 2 - lo) / step, f"a grid from {lo} to {hi} in steps of {step}")
-    import numpy as np
-    return [float(f"{v:.12g}") for v in np.arange(lo, hi + step / 2, step)]
+    # the grid has ceil of this many values; a span that overflows makes it inf
+    rows = (hi + step / 2 - lo) / step
+    _check_rows(rows, f"a grid from {lo} to {hi} in steps of {step}")
+    # the values of np.arange(lo, hi + step / 2, step): lo, lo + step, then lo + i * d for d = (lo + step) - lo
+    n, d = math.ceil(rows), (lo + step) - lo
+    values = [lo, lo + step][:n] + [lo + i * d for i in range(2, n)]
+    return [float(f"{v:.12g}") for v in values]
 
 
 def _write_grid(out: str | None, header: list[str], grid: utility.ConstraintGrid) -> None:
@@ -467,9 +487,12 @@ def cmd_delta(dist, bound, variance, eps, out):
     cell is then perfectly distinguishable (delta = 1).
     """
     # --eps is the accounting epsilon; of these laws only the geometric one also reads it
-    spec = _spec_for(dist, eps if dist == "geometric" else None, variance, bound)
+    if dist == "geometric":
+        pmf = _spec_for(dist, eps, variance, bound).ptable().as_pmf()
+    else:
+        pmf = dict(zip(range(-bound, bound + 1), _max_entropy_pmf(dist, variance, bound)))
     from . import accounting
-    delta = accounting.tightest_delta(spec.ptable().as_pmf(), eps)
+    delta = accounting.tightest_delta(pmf, eps)
     _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)
 
 
@@ -506,6 +529,8 @@ def cmd_budget(global_eps, rounded, halving, out):
     from . import accounting, noise
     payload: dict = {"global_eps": global_eps}
     table_eps = accounting.us_table_budget(global_eps, rounded=rounded)
+    if table_eps == 0.0:
+        raise DomainError(f"the per-table budget underflows to 0 at --global-eps {global_eps}")
     payload["table_eps"] = table_eps
     payload["table_noise_variance"] = noise.laplace_variance(table_eps)
     if halving is not None:

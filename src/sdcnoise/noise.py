@@ -11,17 +11,24 @@ family p_j proportional to exp(-lambda * j^2), with lambda found by bisection
 
 The parameter rules live here: :func:`check_epsilon` for a positive epsilon,
 :func:`check_bound` for a bound E, the geometric law's smallest epsilon, and
-:func:`gen_ptable` for (V, E).
+:func:`max_entropy_pmf` for (V, E).
+
+Only the functions that build arrays, tables or draws import numpy, so
+importing this module, the parameter rules, the noise specs without a table
+and the uniform :func:`max_entropy_pmf` load no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InfeasibleError
+
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def check_epsilon(epsilon: float) -> float:
     """``epsilon`` if 0 < epsilon < inf, else DomainError (NaN included): the one positive-epsilon check."""
@@ -59,6 +66,7 @@ def laplace_variance(epsilon: float) -> float:
 
 def geometric2_pmf(x, epsilon: float):
     """Two-tailed geometric pmf on the integers, (1-q)/(1+q) * q^|x| with q=e^-eps."""
+    import numpy as np
     q = _geometric_ratio(epsilon)
     with np.errstate(over="ignore"):  # a huge eps*|x| overflows to inf, and e^-inf = 0 is the mass
         return (1.0 - q) / (1.0 + q) * np.exp(-epsilon * np.abs(x))
@@ -82,6 +90,7 @@ class PTable:
     cumulative: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        import numpy as np
         p = np.asarray(self.probabilities, dtype=float)
         if p.shape != (2 * self.bound + 1,):
             raise DomainError(
@@ -99,17 +108,20 @@ class PTable:
 
     @property
     def support(self) -> np.ndarray:
+        import numpy as np
         return np.arange(-self.bound, self.bound + 1)
 
     def variance(self) -> float:
-        return float(np.sum(self.support**2 * self.probabilities))
+        return float((self.support**2 * self.probabilities).sum())
 
     def entropy(self) -> float:
+        import numpy as np
         p = self.probabilities[self.probabilities > 0]
         return float(-np.sum(p * np.log(p)))
 
     def quantile(self, u) -> np.ndarray:
         """Smallest j with cumulative mass >= u, elementwise."""
+        import numpy as np
         return np.minimum(np.searchsorted(self.cumulative, u, side="left"), 2 * self.bound) - self.bound
 
     def as_pmf(self) -> dict[int, float]:
@@ -117,16 +129,19 @@ class PTable:
 
 
 def _variance_for_lambda(lam: float, bound: int) -> float:
+    import numpy as np
     j = np.arange(-bound, bound + 1)
     w = np.exp(-lam * j.astype(float) ** 2)
     return float(np.sum(j**2 * w) / np.sum(w))
 
 
-def gen_ptable(variance: float, bound: int) -> PTable:
-    """Maximum-entropy lookup table with mean 0, variance ``variance``, bound ``bound``.
+def max_entropy_pmf(variance: float, bound: int) -> list[float]:
+    """Maximum-entropy probabilities of {-E..E}, in order, with mean 0 and variance ``variance``.
 
     The one (V, E) feasibility test: InfeasibleError unless 0 < V <= E(E+1)/3
-    (NaN fails), checked before the bound, which must then be positive.
+    (NaN fails), checked before the bound, which must then be positive.  At
+    V = E(E+1)/3 (within 1e-12) the law is uniform, 1/(2E+1) each, and numpy
+    is not loaded; below it lambda is found by bisection.
     """
     vmax = uniform_max_variance(bound)
     if not 0 < variance <= vmax + 1e-12:
@@ -134,25 +149,29 @@ def gen_ptable(variance: float, bound: int) -> PTable:
             f"variance {variance} is not positive or exceeds the uniform maximum E(E+1)/3 = {vmax}"
         )
     check_bound(bound)
-    j = np.arange(-bound, bound + 1)
     if abs(variance - vmax) <= 1e-12:
-        lam = 0.0
-    else:
-        lo, hi = 0.0, 50.0
-        while _variance_for_lambda(hi, bound) > variance:  # tiny V needs a wider bracket
-            hi *= 2.0
-        # variance is strictly decreasing in lambda; bisect the residual away
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _variance_for_lambda(mid, bound) > variance:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15 and abs(_variance_for_lambda(hi, bound) - variance) < 1e-12:
-                break
-        lam = 0.5 * (lo + hi)
-    w = np.exp(-lam * j.astype(float) ** 2)
-    return PTable(bound=bound, probabilities=w / w.sum())
+        return [1.0 / (2 * bound + 1)] * (2 * bound + 1)
+    import numpy as np
+    lo, hi = 0.0, 50.0
+    while _variance_for_lambda(hi, bound) > variance:  # tiny V needs a wider bracket
+        hi *= 2.0
+    # variance is strictly decreasing in lambda; bisect the residual away
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _variance_for_lambda(mid, bound) > variance:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 and abs(_variance_for_lambda(hi, bound) - variance) < 1e-12:
+            break
+    lam = 0.5 * (lo + hi)
+    w = np.exp(-lam * np.arange(-bound, bound + 1).astype(float) ** 2)
+    return (w / w.sum()).tolist()
+
+
+def gen_ptable(variance: float, bound: int) -> PTable:
+    """Maximum-entropy lookup table with mean 0, variance ``variance``, bound ``bound`` (:func:`max_entropy_pmf`)."""
+    return PTable(bound=bound, probabilities=max_entropy_pmf(variance, bound))
 
 
 # --- parameterized noise specifications -------------------------------------
@@ -185,6 +204,7 @@ class TruncatedLaplace:
     def __post_init__(self):
         _geometric_ratio(self.epsilon)
         check_bound(self.bound)
+        import numpy as np
         pmf = geometric2_pmf(np.arange(-self.bound, self.bound + 1), self.epsilon)
         object.__setattr__(self, "_ptable", PTable(bound=self.bound, probabilities=pmf / pmf.sum()))
 
@@ -212,6 +232,7 @@ NoiseSpec = Laplace | TwoTailedGeometric | TruncatedLaplace | CellKey
 
 def _sample_geometric2(rng: np.random.Generator, epsilon: float, count: int) -> np.ndarray:
     # difference of two iid geometric(1 - e^-eps) variables (shifted to start at 0)
+    import numpy as np
     p = 1.0 - _geometric_ratio(epsilon)
     return (rng.geometric(p, size=count) - rng.geometric(p, size=count)).astype(np.int64)
 
@@ -220,6 +241,7 @@ def sample_noise(spec: NoiseSpec, seed, count: int) -> np.ndarray:
     """Reproducible draws, reals for Laplace; a Generator seed (one generator per release) is used as is."""
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     if isinstance(spec, Laplace):
         return rng.laplace(0.0, 1.0 / spec.epsilon, size=count)

@@ -9,6 +9,9 @@ directly; areas read from a file also keep their ids, to name a bad area.
 Two grid scans sweep the bounded-noise (V, E) plane and the per-count
 privacy budget range, recording every probability and feasibility flag per
 cell for external heat-map plotting.
+
+Only the functions that hold small areas or build p-tables import numpy, so
+importing this module, the tail estimates and :func:`scan_eps` load no numpy.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import math
 import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .attacks import averaging_success, p1_exact, tuples_needed
 from .errors import DomainError, InfeasibleError
 from .noise import NoiseSpec, check_epsilon, gen_ptable, laplace_variance, sample_noise
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _area_fault(where: str, f: int, m: int, t: int) -> str | None:
@@ -72,6 +77,7 @@ class Areas:
     area_ids: tuple[str, ...] | None = None
 
     def __post_init__(self):
+        import numpy as np
         counts = np.array(self.counts, order="C")
         if counts.dtype != np.int64 or counts.ndim != 2 or counts.shape[1] != 3:
             raise DomainError(f"area counts must be an (n, 3) int64 array, got {counts.dtype} {counts.shape}")
@@ -161,6 +167,7 @@ def read_areas_text(text: str) -> Areas:
             raise DomainError(f"area CSV line {line}: {exc}") from exc
         lines.append(line)
         ids.append(area_id)
+    import numpy as np
     try:
         counts = np.array(values, dtype=np.int64).reshape(-1, 3)
     except OverflowError:
@@ -183,6 +190,7 @@ def synthetic_areas(count: int, seed) -> Areas:
         raise DomainError(f"area count must be an integer, got {count!r}") from None
     if count < 0:
         raise DomainError(f"area count must be nonnegative, got {count}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(np.int64)
     totals = np.clip(totals, 1, 500)
@@ -192,6 +200,7 @@ def synthetic_areas(count: int, seed) -> Areas:
 
 def observations_histogram(areas: Areas, edges: Sequence[float]) -> CountHistogram:
     """Histogram over all single observations (f, m and t separately), zeros excluded."""
+    import numpy as np
     values = areas.counts.ravel()
     # searchsorted "left" finds the bin i with edges[i] < v <= edges[i + 1] at i + 1
     bins = np.searchsorted(np.asarray(edges), values[values > 0], side="left") - 1
@@ -222,6 +231,7 @@ def sample_distortions(
     """
     if len(re_thresholds) == 0:
         raise DomainError("need at least one relative-error threshold")
+    import numpy as np
     truth = areas.counts
     noise = np.asarray(sample_noise(spec, seed, truth.size) if truth.size else (), dtype=float).reshape(truth.shape)
     positive = truth > 0

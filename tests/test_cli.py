@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -11,9 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sdcnoise
-from sdcnoise import __version__
+from sdcnoise import __version__, cli
 from sdcnoise.attacks import averaging_success, p1_exact, tuples_needed
 from sdcnoise.noise import TruncatedLaplace, gen_ptable, laplace_variance
 from sdcnoise.utility import read_areas_text, sample_distortions
@@ -284,6 +287,9 @@ EXIT_PROBES = {
     "budget-halving-2000": (["account", "budget", "--global-eps", "1", "--halving", "2000"], 2),
     "budget-eps-tiny": (["account", "budget", "--global-eps", "1e-200"], 2),
     "budget-eps-inf": (["account", "budget", "--global-eps", "inf"], 2),
+    # 0.10 * eps and 0.1125 * eps both round to 0 at the smallest subnormal eps
+    "budget-table-underflow-rounded": (["account", "budget", "--global-eps", "5e-324", "--rounded"], 2),
+    "budget-table-underflow-exact": (["account", "budget", "--global-eps", "5e-324", "--exact"], 2),
     "geo-override-unknown": (["analyze", "desk", "--geo-override", "FOO=3"], 2),
     "geo-override-zero": (["analyze", "desk", "--geo-override", "GEO.M=0"], 2),
     "delta-eps-inf": (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "inf"], 2),
@@ -388,6 +394,14 @@ def test_budget_halving_names_its_underflow():
     assert proc.stderr == "error: the halving budget eps/2^i underflows to 0 at --halving 2000\n"
 
 
+@pytest.mark.parametrize("probe", ["budget-table-underflow-rounded", "budget-table-underflow-exact"])
+def test_budget_names_its_table_budget_underflow(probe):
+    # the per-table budget is 0, an epsilon the user never gave
+    proc = run_cli(*EXIT_PROBES[probe][0], check=False)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the per-table budget underflows to 0 at --global-eps 5e-324\n"
+
+
 # Every law choice of every command: the command with its fixed options, the law
 # option and choice, the law options it needs, and a given option it does not read
 # (None where the command has no such option).
@@ -440,6 +454,25 @@ def test_geometric_with_a_bound_samples_the_truncated_law():
         (repr(t.re_threshold), str(t.single), str(t.broadband), str(t.zero_hits)) for t in tallies
     ]
     assert "# E: 5" in proc.stdout
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-1e6, 1e6, allow_subnormal=False),
+    st.floats(1e-12, 1e3, allow_subnormal=False),
+    st.floats(0.0, 6.0),
+)
+@example(0.5, 0.5, math.log10(12))  # the scan ve default V grid
+@example(0.05, 0.01, math.log10(96))  # the scan eps default grid
+@example(0.05, 0.005, math.log10(191))
+@example(1e-13, 1e-13, math.log10(2))
+@example(0.0, 1.0, 6.0)
+def test_grid_range_is_numpys_arange(lo, step, log_rows):
+    # hi lies 10**log_rows - 1 steps above lo: up to the 10**6-row cap, most grids small
+    hi = lo + (10**log_rows - 1) * step
+    if not (hi + step / 2 - lo) / step <= 10**6:
+        return
+    assert cli._grid_range(lo, hi, step) == [float(f"{v:.12g}") for v in np.arange(lo, hi + step / 2, step)]
 
 
 def test_scan_eps_keeps_tiny_grid_values():
@@ -566,28 +599,40 @@ else:
         code = exc.code
 print(json.dumps([code, sorted(sys.modules)]))
 """
-# case: (child arguments, exit code, the sdcnoise modules it may load)
+# The modules attacks imports at its top, which margin_exploit_scan and p1_exact do not need.
+ATTACKS = {"attacks", "noise", "redundancy", "tables"}
+# case: (child arguments, exit code, the sdcnoise modules it may load, whether it may load numpy)
 IMPORT_GRAPH = {
-    "import cli": (["--import", "sdcnoise.cli"], 0, {"cli", "errors"}),
+    "import cli": (["--import", "sdcnoise.cli"], 0, {"cli", "errors"}, False),
     "import tables redundancy accounting": (
         ["--import", "sdcnoise.tables", "sdcnoise.redundancy", "sdcnoise.accounting"], 0,
-        {"tables", "redundancy", "accounting", "errors"},
+        {"tables", "redundancy", "accounting", "errors"}, False,
     ),
-    "help": (["--help"], 0, {"cli", "errors"}),
-    "usage error": (["scan", "ve"], 1, {"cli", "errors"}),
-    "analyze": (["analyze", "desk", "--spsn"], 0, {"cli", "errors", "data", "tables", "redundancy"}),
-    "analyze missing file": (["analyze", "{tmp}/missing.json"], 2, {"cli", "errors", "tables", "redundancy"}),
+    "import noise attacks utility": (
+        ["--import", "sdcnoise.noise", "sdcnoise.attacks", "sdcnoise.utility"], 0,
+        {"utility", "errors", *ATTACKS}, False,
+    ),
+    "help": (["--help"], 0, {"cli", "errors"}, False),
+    "usage error": (["scan", "ve"], 1, {"cli", "errors"}, False),
+    "analyze": (["analyze", "desk", "--spsn"], 0, {"cli", "errors", "data", "tables", "redundancy"}, False),
+    "analyze missing file": (["analyze", "{tmp}/missing.json"], 2, {"cli", "errors", "tables", "redundancy"}, False),
     "account sensitivity": (["account", "sensitivity", "sex-age", "--query", "SEX", "--query", "total"], 0,
-                            {"cli", "errors", "data", "tables", "accounting"}),
-    "ptable": (["ptable", "--v", "2", "--e", "5"], 0, {"cli", "errors", "noise", "data"}),
-    "account budget": (["account", "budget", "--global-eps", "1"], 0, {"cli", "errors", "accounting", "noise"}),
-    "account delta": (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1"], 0,
-                      {"cli", "errors", "accounting", "noise"}),
+                            {"cli", "errors", "data", "tables", "accounting"}, False),
+    "ptable": (["ptable", "--v", "2", "--e", "5"], 0, {"cli", "errors", "noise", "data"}, True),
+    "account budget": (["account", "budget", "--global-eps", "1"], 0, {"cli", "errors", "accounting", "noise"}, False),
+    "account delta uniform": (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "1"], 0,
+                              {"cli", "errors", "accounting", "noise"}, False),
+    "account delta ptable": (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1"], 0,
+                             {"cli", "errors", "accounting", "noise"}, True),
+    "attack margin": (["attack", "margin", "--e", "2"], 0, {"cli", "errors", "data", *ATTACKS}, False),
+    "attack bound-disclosure uniform": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2"], 0,
+                                        {"cli", "errors", *ATTACKS}, False),
+    "scan eps": (["scan", "eps", "--kt2", "0.1", "--t-lau", "68"], 0, {"cli", "errors", "utility", *ATTACKS}, False),
 }
 
 
-@pytest.mark.parametrize("args, code, allowed", IMPORT_GRAPH.values(), ids=IMPORT_GRAPH.keys())
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, code, allowed):
+@pytest.mark.parametrize("args, code, allowed, numpy", IMPORT_GRAPH.values(), ids=IMPORT_GRAPH.keys())
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, code, allowed, numpy):
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_GRAPH_CHILD, *(a.format(tmp=tmp_path) for a in args)],
         capture_output=True,
@@ -598,5 +643,5 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, code, allow
     exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert exit_code == code, proc.stderr
     assert {m.split(".")[1] for m in modules if m.startswith("sdcnoise.")} <= allowed
-    if "noise" not in allowed:  # of these cases, only the noise layer needs numpy
+    if not numpy:
         assert "numpy" not in modules

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from sdcnoise.noise import (
     gen_ptable,
     geometric2_pmf,
     laplace_variance,
+    max_entropy_pmf,
     sample_noise,
     uniform_max_variance,
 )
@@ -73,6 +78,39 @@ def test_gen_ptable_uniform_limit():
     pt = gen_ptable(4.0, 3)
     assert np.allclose(pt.probabilities, 1.0 / 7.0)
     assert pt.variance() == pytest.approx(4.0, abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.floats(0.0, 1.0))
+@example(1, 1.0)
+@example(7, 1.0)
+@example(60, 1.0)
+def test_max_entropy_pmf_is_the_ptable(bound, u):
+    # u = 1 is the uniform edge V = E(E+1)/3
+    variance = log_uniform_variance(u, bound)
+    pmf = max_entropy_pmf(variance, bound)
+    assert type(pmf) is list and all(type(p) is float for p in pmf)
+    assert pmf == gen_ptable(variance, bound).probabilities.tolist()
+
+
+@pytest.mark.parametrize("bound", range(1, 51))
+def test_max_entropy_pmf_uniform_is_numpys_uniform(bound):
+    # the table gen_ptable built at the uniform edge: exp(-0 * j**2), all ones, over its sum
+    assert max_entropy_pmf(uniform_max_variance(bound), bound) == (np.ones(2 * bound + 1) / (2 * bound + 1)).tolist()
+
+
+def test_max_entropy_pmf_uniform_loads_no_numpy():
+    code = (
+        "import sys\n"
+        "from sdcnoise.noise import max_entropy_pmf, uniform_max_variance\n"
+        "assert max_entropy_pmf(uniform_max_variance(9), 9) == [1 / 19] * 19\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(sys.modules["sdcnoise.noise"].__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_gen_ptable_shape_and_variance():
