@@ -174,7 +174,7 @@ def _check_law_options(law: str, eps: float | None, variance: float | None, boun
 
 
 def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | None) -> noise.NoiseSpec:
-    """The one place a law name and its checked options become a noise spec."""
+    """The noise spec of a sampled law (laplace, geometric, ck), its options checked."""
     _check_law_options(law, eps, variance, bound)
     from . import noise
     if law == "laplace":
@@ -183,13 +183,14 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
         if bound is None:
             return noise.TwoTailedGeometric(epsilon=eps)
         return noise.TruncatedLaplace(epsilon=eps, bound=bound)
-    if law == "uniform":
-        variance = noise.uniform_max_variance(bound)
     return noise.CellKey(variance=variance, bound=bound)
 
 
 def _max_entropy_pmf(law: str, variance: float | None, bound: int) -> list[float]:
-    """The probabilities of {-E..E} under the uniform or ptable law, its options checked, with no p-table built."""
+    """The probabilities of {-E..E} under the uniform or ptable law, its options checked, with no p-table built.
+
+    The uniform law is the max-entropy table at its largest variance, E(E+1)/3.
+    """
     _check_law_options(law, None, variance, bound)
     from . import noise
     if law == "uniform":

@@ -622,8 +622,8 @@ IMPORT_GRAPH = {
     "account budget": (["account", "budget", "--global-eps", "1"], 0, {"cli", "errors", "accounting", "noise"}, False),
     "account delta uniform": (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "1"], 0,
                               {"cli", "errors", "accounting", "noise"}, False),
-    "account delta ptable": (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1"], 0,
-                             {"cli", "errors", "accounting", "noise"}, True),
+    "account delta": (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1"], 0,
+                      {"cli", "errors", "accounting", "noise"}, True),
     "attack margin": (["attack", "margin", "--e", "2"], 0, {"cli", "errors", "data", *ATTACKS}, False),
     "attack bound-disclosure uniform": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "2"], 0,
                                         {"cli", "errors", *ATTACKS}, False),
