@@ -555,6 +555,12 @@ STDOUT_PINS = [
      "fcffc4058fe018f9ab410344408916eb79a17fbf4a8033e37b132e9548d38888"),
     (["account", "delta", "--dist", "geometric", "--eps", "0.1", "--e", "50"],
      "b4eaba1861b6df67a4449f52dceac9f793a934600ec11b9cb0cee019e46cf02e"),
+    # the ptable law of bound disclosure (p1 = 0.1478..., m = 8), recorded before the
+    # CLI read every finite law's probabilities through one helper
+    (["attack", "bound-disclosure", "--dist", "ptable", "--v", "1.9", "--e", "2"],
+     "0c5f4cfedb3f7d87f3e11ab4e3304a971a1e4e5cc8394f88d25a3c89aab8d407"),
+    (["attack", "bound-disclosure", "--dist", "ptable", "--v", "1.9", "--e", "2", "--streams", "50", "--seed", "4"],
+     "e246c9e622683500498f5ceba24ae546988e0a80e24e38e23dcfc4b626b51a6d"),
 ]
 
 
