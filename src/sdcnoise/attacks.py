@@ -4,7 +4,7 @@ Three attack classes are covered: disclosing the hard noise bound from
 linearly constrained 3-tuples, exploiting margins once the bound is known,
 and removing noise by averaging redundant representations.  Exact
 probabilities come from discrete convolution; Monte Carlo harnesses are
-seeded and reproducible.
+seeded and reproducible.  :func:`check_alpha` is the one confidence-level check.
 
 Only the Monte Carlo harnesses and the release pipeline import numpy, so
 importing this module, the exact probabilities (:func:`p1_exact` on a list)
@@ -97,6 +97,13 @@ def p1_exact(pmf: Sequence, bound: int):
     return total
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` if 0 < alpha < 1, else DomainError (NaN included): the one confidence-level check."""
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    return alpha
+
+
 def tuples_needed(p1: float, alpha: float) -> float:
     """Independent 3-tuples needed to pin the bound at confidence alpha.
 
@@ -107,8 +114,7 @@ def tuples_needed(p1: float, alpha: float) -> float:
     """
     if not 0.0 <= p1 <= 1.0:
         raise DomainError(f"p1 must lie in [0,1], got {p1}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_alpha(alpha)
     if p1 == 1.0:
         return 1
     # log1p keeps tiny p1 from flushing the denominator to zero

@@ -13,7 +13,7 @@ and the library imports numpy only where it builds arrays.  So ``--help``,
 usage errors, ``analyze``, ``attack margin``, ``scan eps``, ``account
 sensitivity`` and ``account budget`` start without numpy, and so do the
 uniform law of ``account delta`` and of ``attack bound-disclosure`` without
-``--streams``.
+``--streams``.  :func:`_law_pmf` gives the probabilities of every finite law.
 """
 
 from __future__ import annotations
@@ -186,12 +186,14 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
     return noise.CellKey(variance=variance, bound=bound)
 
 
-def _max_entropy_pmf(law: str, variance: float | None, bound: int) -> list[float]:
-    """The probabilities of {-E..E} under the uniform or ptable law, its options checked, with no p-table built.
+def _law_pmf(law: str, eps: float | None, variance: float | None, bound: int) -> list[float]:
+    """The probabilities of {-E..E} under a finite law (uniform, ptable, geometric with --e), its options checked.
 
-    The uniform law is the max-entropy table at its largest variance, E(E+1)/3.
+    The uniform law is the max-entropy table at its largest variance, E(E+1)/3; only geometric builds a p-table.
     """
-    _check_law_options(law, None, variance, bound)
+    if law == "geometric":
+        return _spec_for(law, eps, variance, bound).ptable().probabilities.tolist()
+    _check_law_options(law, eps, variance, bound)
     from . import noise
     if law == "uniform":
         variance = noise.uniform_max_variance(bound)
@@ -210,7 +212,7 @@ def cmd_ptable(variance, bound, out):
         out,
         _header("ptable", {"V": variance, "E": bound}),
         ["j", "p_j", "cumulative"],
-        zip(ptable.support.tolist(), ptable.probabilities.tolist(), ptable.cumulative.tolist()),
+        zip(range(-bound, bound + 1), ptable.probabilities.tolist(), ptable.cumulative.tolist()),
     )
 
 
@@ -274,8 +276,9 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     """Probability and 3-tuple complexity of disclosing the noise bound."""
     if seed is not None and streams == 0:
         raise click.UsageError("--seed is not read without --streams: the analytic figure samples nothing")
-    pmf = _max_entropy_pmf(dist, variance, bound)
+    pmf = _law_pmf(dist, None, variance, bound)
     from . import attacks, noise
+    attacks.check_alpha(alpha)
     p1 = float(attacks.p1_exact(pmf, bound))
     m = attacks.tuples_needed(p1, alpha)
     if streams > 0:
@@ -488,12 +491,9 @@ def cmd_delta(dist, bound, variance, eps, out):
     cell is then perfectly distinguishable (delta = 1).
     """
     # --eps is the accounting epsilon; of these laws only the geometric one also reads it
-    if dist == "geometric":
-        pmf = _spec_for(dist, eps, variance, bound).ptable().as_pmf()
-    else:
-        pmf = dict(zip(range(-bound, bound + 1), _max_entropy_pmf(dist, variance, bound)))
+    pmf = _law_pmf(dist, eps if dist == "geometric" else None, variance, bound)
     from . import accounting
-    delta = accounting.tightest_delta(pmf, eps)
+    delta = accounting.tightest_delta(dict(zip(range(-bound, bound + 1), pmf)), eps)
     _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)
 
 

@@ -106,18 +106,9 @@ class PTable:
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "cumulative", np.cumsum(p))
 
-    @property
-    def support(self) -> np.ndarray:
-        import numpy as np
-        return np.arange(-self.bound, self.bound + 1)
-
     def variance(self) -> float:
-        return float((self.support**2 * self.probabilities).sum())
-
-    def entropy(self) -> float:
         import numpy as np
-        p = self.probabilities[self.probabilities > 0]
-        return float(-np.sum(p * np.log(p)))
+        return float((np.arange(-self.bound, self.bound + 1) ** 2 * self.probabilities).sum())
 
     def quantile(self, u) -> np.ndarray:
         """Smallest j with cumulative mass >= u, elementwise."""
@@ -125,7 +116,7 @@ class PTable:
         return np.minimum(np.searchsorted(self.cumulative, u, side="left"), 2 * self.bound) - self.bound
 
     def as_pmf(self) -> dict[int, float]:
-        return {int(j): float(p) for j, p in zip(self.support, self.probabilities)}
+        return dict(zip(range(-self.bound, self.bound + 1), self.probabilities.tolist()))
 
 
 def _variance_for_lambda(lam: float, bound: int) -> float:

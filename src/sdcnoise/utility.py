@@ -6,9 +6,9 @@ exceed a relative error threshold; sampled runs cross-check the estimates.
 Small areas are held as one read-only (n, 3) int64 array of (f, m, t)
 counts (``Areas``), which both the histogram and the sampled tallies read
 directly; areas read from a file also keep their ids, to name a bad area.
-Two grid scans sweep the bounded-noise (V, E) plane and the per-count
-privacy budget range, recording every probability and feasibility flag per
-cell for external heat-map plotting.
+Two grid scans sweep the bounded-noise (V, E) plane (each E checked as a
+bound before any cell) and the per-count privacy budget range, recording
+every probability and feasibility flag per cell for heat-map plotting.
 
 Only the functions that hold small areas or build p-tables import numpy, so
 importing this module, the tail estimates and :func:`scan_eps` load no numpy.
@@ -23,9 +23,9 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .attacks import averaging_success, p1_exact, tuples_needed
+from .attacks import averaging_success, check_alpha, p1_exact, tuples_needed
 from .errors import DomainError, InfeasibleError
-from .noise import NoiseSpec, check_epsilon, gen_ptable, laplace_variance, sample_noise
+from .noise import NoiseSpec, check_bound, check_epsilon, gen_ptable, laplace_variance, sample_noise
 
 if TYPE_CHECKING:
     import numpy as np
@@ -260,8 +260,7 @@ def dp_utility_eps(e_alpha: float, t_outputs: float, alpha: float) -> float:
     """Smallest per-count budget keeping all t counts within e_alpha at confidence alpha."""
     if not (e_alpha > 0 and t_outputs > 0):
         raise DomainError("bound and output count must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_alpha(alpha)
     return math.log(t_outputs / (1.0 - alpha)) / e_alpha
 
 
@@ -283,13 +282,14 @@ def scan_ve(
     kt2: float | None = None,
     alpha: float = 0.68,
 ) -> ConstraintGrid:
-    """Scan the bounded-noise (V, E) plane for bound-disclosure and averaging risk."""
+    """Scan the (V, E) plane for bound-disclosure and averaging risk, every E checked as a bound before any cell."""
     if not m_avail > 0:
         raise DomainError(f"m_avail must be positive, got {m_avail}")
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0,1), got {alpha}")
+    check_alpha(alpha)
     if kt2 is not None and not kt2 > 0:
         raise DomainError(f"kt2 must be positive, got {kt2}")
+    for e in e_values:
+        check_bound(e)
     columns = [
         "V",
         "E",

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcnoise
-from sdcnoise import __version__, cli
+from sdcnoise import __version__, attacks, cli
 from sdcnoise.attacks import averaging_success, p1_exact, tuples_needed
 from sdcnoise.noise import TruncatedLaplace, gen_ptable, laplace_variance
 from sdcnoise.utility import read_areas_text, sample_distortions
@@ -40,6 +41,17 @@ def run_cli(*args, check=True):
     if check:
         assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def run_in_process(*args):
+    """``cli.main`` in this process, as the benchmark's in-process runner calls it: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def _rows(text):
@@ -273,6 +285,11 @@ EXIT_PROBES = {
                          "--re", "0.5", "--seed", "1"], 2),
     "sample-eps-nan": (["utility", "sample", "--eps", "nan", "--re", "0.5", "--seed", "1"], 2),
     "scan-m-avail-nan": (["scan", "ve", "--m-avail", "nan"], 2),
+    # every E is checked as a bound (1..10**6) before the first cell, whatever V is
+    "scan-ve-e-zero": (["scan", "ve", "--v-min", "1", "--v-max", "1", "--e-min", "0", "--e-max", "0",
+                        "--m-avail", "10"], 2),
+    "scan-ve-e-negative": (["scan", "ve", "--v-min", "1", "--v-max", "1", "--e-min", "-2", "--e-max", "-2",
+                            "--m-avail", "10"], 2),
     # alpha and --kt2 are checked even on a grid whose every cell is infeasible
     "scan-ve-alpha-infeasible": (["scan", "ve", "--m-avail", "2.8e7", "--alpha", "5", "--v-min", "100",
                                   "--v-max", "100", "--e-min", "1", "--e-max", "2"], 2),
@@ -443,6 +460,29 @@ def test_analytic_bound_disclosure_reads_no_seed():
     assert proc.returncode == 1
     assert "--seed is not read" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["--dist", "ptable", "--v", "2", "--e", "1000", "--alpha", "0"], 2, "error: alpha must lie in (0,1), got 0.0"),
+        (["--dist", "uniform", "--e", "2", "--alpha", "nan", "--streams", "5"], 2,
+         "error: alpha must lie in (0,1), got nan"),
+        # the law's options are checked and its pmf built first
+        (["--dist", "ptable", "--e", "2", "--alpha", "0"], 1, "Error: --v is required for the ptable law"),
+        (["--dist", "ptable", "--v", "9", "--e", "2", "--alpha", "0"], 2,
+         "error: variance 9.0 is not positive or exceeds the uniform maximum E(E+1)/3 = 2.0"),
+    ],
+    ids=["alpha-zero-e1000", "alpha-nan-streams", "missing-v", "infeasible-v"],
+)
+def test_bound_disclosure_checks_alpha_before_p1(monkeypatch, args, code, message):
+    def fail(pmf, bound):
+        raise AssertionError("p1_exact ran before alpha was checked")
+
+    monkeypatch.setattr(attacks, "p1_exact", fail)
+    exit_code, out, err = run_in_process("attack", "bound-disclosure", *args)
+    assert (exit_code, out) == (code, "")
+    assert err.splitlines()[-1] == message
 
 
 def test_geometric_with_a_bound_samples_the_truncated_law():

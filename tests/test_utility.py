@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sdcnoise import utility
 from sdcnoise.cli import _write_csv, _write_grid
 from sdcnoise.errors import DomainError, InfeasibleError
-from sdcnoise.noise import CellKey, Laplace, TruncatedLaplace, TwoTailedGeometric, gen_ptable, sample_noise
+from sdcnoise.noise import CellKey, Laplace, TruncatedLaplace, TwoTailedGeometric, check_bound, gen_ptable, sample_noise
 from sdcnoise.utility import (
     AreaRecord,
     Areas,
@@ -451,7 +451,7 @@ def test_scan_ve_marks_infeasible():
 
 @st.composite
 def variance_and_bound(draw):
-    bound = draw(st.integers(-3, 40))
+    bound = draw(st.one_of(st.integers(-3, 40), st.just(10**6 + 1)))
     vmax = bound * (bound + 1) / 3.0
     edges = [0.0, -0.0, -1.0, math.nan, vmax - 1e-12, vmax, vmax + 1e-12, vmax + 2e-12]
     return draw(st.one_of(st.sampled_from(edges), st.floats(-1.0, 600.0))), bound
@@ -460,20 +460,33 @@ def variance_and_bound(draw):
 @settings(max_examples=200, deadline=None)
 @given(variance_and_bound())
 def test_scan_ve_feasibility_is_gen_ptables(case):
+    # An E outside 1..10**6 is refused as a bound whatever V is, before any cell.  Inside
+    # that range a cell is feasible exactly when gen_ptable, which checks V first, builds a table.
     variance, bound = case
-    try:
-        gen_ptable(variance, bound)
-    except InfeasibleError:
-        feasible = False
-    except DomainError as exc:  # a bound below 1 under a variance the rule admits
+    if not 1 <= bound <= 10**6:
+        with pytest.raises(DomainError) as expected:
+            check_bound(bound)
         with pytest.raises(DomainError) as info:
             scan_ve([variance], [bound], m_avail=1000.0)
-        assert str(info.value) == str(exc)
+        assert type(info.value) is DomainError
+        assert str(info.value) == str(expected.value)
         return
-    else:
+    try:
+        gen_ptable(variance, bound)
         feasible = True
+    except InfeasibleError:
+        feasible = False
     (cell,) = scan_ve([variance], [bound], m_avail=1000.0).cells
     assert cell["feasible"] is feasible
+
+
+def test_scan_ve_checks_every_bound_before_its_first_cell(monkeypatch):
+    def fail(variance, bound):
+        raise AssertionError(f"a p-table was built at E = {bound} before every E was checked")
+
+    monkeypatch.setattr(utility, "gen_ptable", fail)
+    with pytest.raises(DomainError, match=r"no larger than 10\*\*6, got 1000001$"):
+        scan_ve([1.0], [1, 10**6 + 1], m_avail=10.0)
 
 
 def test_scan_ve_averaging_columns():
