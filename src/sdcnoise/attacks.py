@@ -227,6 +227,12 @@ def averaging_success(variance: float, k: float, t: float, xi: float = 0.5) -> f
     return math.erf(xi / spread) if spread > 0 else 1.0
 
 
+def check_averaging(k: int, t: int, trials: int) -> None:
+    """DomainError unless k >= t >= 1 and trials >= 1: the size rule of :func:`averaging_mc`."""
+    if k < t or t < 1 or trials < 1:
+        raise DomainError("need k >= t >= 1 and positive trials")
+
+
 def averaging_mc(
     ptable: PTable, k: int, t: int, trials: int, seed, xi: float = 0.5
 ) -> AttackReport:
@@ -236,8 +242,7 @@ def averaging_mc(
     ``_BLOCK`` draws: several trials a block, or a trial over several blocks.
     """
     import numpy as np
-    if k < t or t < 1 or trials < 1:
-        raise DomainError("need k >= t >= 1 and positive trials")
+    check_averaging(k, t, trials)
     probability = averaging_success(ptable.variance(), k, t, xi)  # rejects xi before any draw
     rng = np.random.default_rng(seed)
     # trials per draw matrix, about one block of draws; a trial of more draws sums column blocks
@@ -393,7 +398,7 @@ def _release_plan(programme: TableProgramme):
 def _exact_statistics(programme: TableProgramme, data: Microdata):
     """The planned tables' record cells and every statistic's exact counts, once per microdata.
 
-    Memoised on ``data.codes`` next to the table count cubes, by the planned
+    Memoised on ``data.codes`` next to the column codes, by the planned
     tables' ids and category orders: the record cells of each table, one
     read-only vector of every statistic's counts in the release plan's
     layout, each statistic's cube (a view of it) and its cell dict.

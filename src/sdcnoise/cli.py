@@ -13,7 +13,8 @@ and the library imports numpy only where it builds arrays.  So ``--help``,
 usage errors, ``analyze``, ``attack margin``, ``scan eps``, ``account
 sensitivity`` and ``account budget`` start without numpy, and so do the
 uniform law of ``account delta`` and of ``attack bound-disclosure`` without
-``--streams``.  :func:`_law_pmf` gives the probabilities of every finite law.
+``--streams``.  :func:`_law_pmf` gives the probabilities of every finite law:
+:func:`noise.uniform_pmf` for the uniform law, the spec's p-table otherwise.
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def _check_law_options(law: str, eps: float | None, variance: float | None, boun
 
 
 def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | None) -> noise.NoiseSpec:
-    """The noise spec of a sampled law (laplace, geometric, ck), its options checked."""
+    """The noise spec of a law other than uniform (``ptable`` is ``ck``'s law), its options checked."""
     _check_law_options(law, eps, variance, bound)
     from . import noise
     if law == "laplace":
@@ -187,17 +188,12 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
 
 
 def _law_pmf(law: str, eps: float | None, variance: float | None, bound: int) -> list[float]:
-    """The probabilities of {-E..E} under a finite law (uniform, ptable, geometric with --e), its options checked.
-
-    The uniform law is the max-entropy table at its largest variance, E(E+1)/3; only geometric builds a p-table.
-    """
-    if law == "geometric":
-        return _spec_for(law, eps, variance, bound).ptable().probabilities.tolist()
-    _check_law_options(law, eps, variance, bound)
-    from . import noise
+    """The probabilities of {-E..E} under a finite law (uniform, ptable, geometric with --e), its options checked."""
     if law == "uniform":
-        variance = noise.uniform_max_variance(bound)
-    return noise.max_entropy_pmf(variance, bound)
+        _check_law_options(law, eps, variance, bound)
+        from . import noise
+        return noise.uniform_pmf(bound)
+    return _spec_for(law, eps, variance, bound).ptable().probabilities.tolist()
 
 
 @cli.command("ptable")
@@ -338,9 +334,10 @@ def cmd_margin(bound, input_path, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_averaging(variance, bound, k, t, trials, seed, xi, out):
     """Monte Carlo averaging attack on synthetic redundancy (k, t)."""
-    if trials > 0 and k * trials > _MAX_DRAWS:  # a negative k or trials is averaging_mc's domain error
+    if trials > 0 and k * trials > _MAX_DRAWS:  # a negative k or trials is check_averaging's domain error
         raise click.UsageError(f"--k {k} by --trials {trials} draws more than {_MAX_DRAWS} noise values")
     from . import attacks, noise
+    attacks.check_averaging(k, t, trials)
     seed = _resolve_seed(seed)
     ptable = noise.gen_ptable(variance, bound)
     report = attacks.averaging_mc(ptable, k, t, trials, seed, xi)

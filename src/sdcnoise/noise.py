@@ -11,11 +11,11 @@ family p_j proportional to exp(-lambda * j^2), with lambda found by bisection
 
 The parameter rules live here: :func:`check_epsilon` for a positive epsilon,
 :func:`check_bound` for a bound E, the geometric law's smallest epsilon, and
-:func:`max_entropy_pmf` for (V, E).
+:func:`gen_ptable`, the one max-entropy builder, for (V, E).
 
 Only the functions that build arrays, tables or draws import numpy, so
 importing this module, the parameter rules, the noise specs without a table
-and the uniform :func:`max_entropy_pmf` load no numpy.
+and the uniform law's probabilities (:func:`uniform_pmf`) load no numpy.
 """
 
 from __future__ import annotations
@@ -126,22 +126,28 @@ def _variance_for_lambda(lam: float, bound: int) -> float:
     return float(np.sum(j**2 * w) / np.sum(w))
 
 
-def max_entropy_pmf(variance: float, bound: int) -> list[float]:
-    """Maximum-entropy probabilities of {-E..E}, in order, with mean 0 and variance ``variance``.
+def uniform_pmf(bound: int) -> list[float]:
+    """The uniform law on {-E..E}, 1/(2E+1) each, its bound checked; loads no numpy."""
+    check_bound(bound)
+    return [1.0 / (2 * bound + 1)] * (2 * bound + 1)
+
+
+def gen_ptable(variance: float, bound: int) -> PTable:
+    """Maximum-entropy lookup table on {-E..E} with mean 0 and variance ``variance``.
 
     The one (V, E) feasibility test: InfeasibleError unless 0 < V <= E(E+1)/3
     (NaN fails), checked before the bound, which must then be positive.  At
-    V = E(E+1)/3 (within 1e-12) the law is uniform, 1/(2E+1) each, and numpy
-    is not loaded; below it lambda is found by bisection.
+    V = E(E+1)/3 (within 1e-12) the law is :func:`uniform_pmf`; below it
+    lambda is found by bisection.
     """
     vmax = uniform_max_variance(bound)
     if not 0 < variance <= vmax + 1e-12:
         raise InfeasibleError(
             f"variance {variance} is not positive or exceeds the uniform maximum E(E+1)/3 = {vmax}"
         )
-    check_bound(bound)
     if abs(variance - vmax) <= 1e-12:
-        return [1.0 / (2 * bound + 1)] * (2 * bound + 1)
+        return PTable(bound=bound, probabilities=uniform_pmf(bound))
+    check_bound(bound)
     import numpy as np
     lo, hi = 0.0, 50.0
     while _variance_for_lambda(hi, bound) > variance:  # tiny V needs a wider bracket
@@ -157,12 +163,7 @@ def max_entropy_pmf(variance: float, bound: int) -> list[float]:
             break
     lam = 0.5 * (lo + hi)
     w = np.exp(-lam * np.arange(-bound, bound + 1).astype(float) ** 2)
-    return (w / w.sum()).tolist()
-
-
-def gen_ptable(variance: float, bound: int) -> PTable:
-    """Maximum-entropy lookup table with mean 0, variance ``variance``, bound ``bound`` (:func:`max_entropy_pmf`)."""
-    return PTable(bound=bound, probabilities=max_entropy_pmf(variance, bound))
+    return PTable(bound=bound, probabilities=w / w.sum())
 
 
 # --- parameterized noise specifications -------------------------------------
@@ -221,13 +222,6 @@ class CellKey:
 NoiseSpec = Laplace | TwoTailedGeometric | TruncatedLaplace | CellKey
 
 
-def _sample_geometric2(rng: np.random.Generator, epsilon: float, count: int) -> np.ndarray:
-    # difference of two iid geometric(1 - e^-eps) variables (shifted to start at 0)
-    import numpy as np
-    p = 1.0 - _geometric_ratio(epsilon)
-    return (rng.geometric(p, size=count) - rng.geometric(p, size=count)).astype(np.int64)
-
-
 def sample_noise(spec: NoiseSpec, seed, count: int) -> np.ndarray:
     """Reproducible draws, reals for Laplace; a Generator seed (one generator per release) is used as is."""
     if count < 1:
@@ -237,7 +231,9 @@ def sample_noise(spec: NoiseSpec, seed, count: int) -> np.ndarray:
     if isinstance(spec, Laplace):
         return rng.laplace(0.0, 1.0 / spec.epsilon, size=count)
     if isinstance(spec, TwoTailedGeometric):
-        return _sample_geometric2(rng, spec.epsilon, count)
+        # difference of two iid geometric(1 - e^-eps) variables (shifted to start at 0)
+        p = 1.0 - _geometric_ratio(spec.epsilon)
+        return (rng.geometric(p, size=count) - rng.geometric(p, size=count)).astype(np.int64)
     if isinstance(spec, (TruncatedLaplace, CellKey)):
         return spec.ptable().quantile(rng.random(count))
     raise DomainError(f"unknown noise spec {spec!r}")

@@ -10,11 +10,11 @@ one axis per sorted breakdown id; a marginal sums the dropped axes.  Only
 reading a programme does not.
 
 Everything here is immutable after construction.  A :class:`Microdata`
-memoises its category codes and table cubes in ``codes``, and the release
-pipeline (:mod:`sdcnoise.attacks`) owns the rest of ``codes`` and every
-:class:`TableProgramme`'s ``plans``; two tasks filling the same memo at once
-compute equal values, so a race only repeats work, and tabulation is safe to
-use from concurrent tasks.
+memoises its category codes in ``codes`` (a count cube is counted afresh on
+each call), and the release pipeline (:mod:`sdcnoise.attacks`) owns the rest
+of ``codes`` and every :class:`TableProgramme`'s ``plans``; two tasks filling
+the same memo at once compute equal values, so a race only repeats work, and
+tabulation is safe to use from concurrent tasks.
 """
 
 from __future__ import annotations
@@ -214,9 +214,8 @@ class Microdata:
     """Person records; one categorical value per breakdown of the catalog.
 
     ``columns`` and ``records`` are stored as tuples, so the records cannot
-    change under the memos in ``codes``: the category codes and table cubes
-    of :func:`encode` and :func:`table_counts`, and what the release pipeline
-    (:mod:`sdcnoise.attacks`) memoises there.
+    change under the memos in ``codes``: the category codes of :func:`encode`
+    and what the release pipeline (:mod:`sdcnoise.attacks`) memoises there.
     """
 
     columns: tuple[str, ...]
@@ -294,18 +293,15 @@ def table_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flat cube cell of every record and the count cube over the sorted non-empty ``ids``.
 
-    Both read-only arrays are memoised on ``data.codes`` by the ids and their category orders.
+    Both arrays are read-only; only the column codes they are built from are memoised.
     """
     import numpy as np
-    key = tuple((bid, programme.breakdown(bid).categories) for bid in ids)
-    if key not in data.codes:
-        codes = encode(programme, data, ids)
-        shape = tuple(programme.breakdown(bid).cardinality for bid in ids)
-        flat = np.ravel_multi_index([codes[bid] for bid in ids], shape)
-        counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
-        flat.flags.writeable = counts.flags.writeable = False
-        data.codes[key] = flat, counts
-    return data.codes[key]
+    codes = encode(programme, data, ids)
+    shape = tuple(programme.breakdown(bid).cardinality for bid in ids)
+    flat = np.ravel_multi_index([codes[bid] for bid in ids], shape)
+    counts = np.bincount(flat, minlength=math.prod(shape)).reshape(shape)
+    flat.flags.writeable = counts.flags.writeable = False
+    return flat, counts
 
 
 def tabulate(

@@ -11,13 +11,14 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcnoise
-from sdcnoise import __version__, attacks, cli
+from sdcnoise import __version__, attacks, cli, noise
 from sdcnoise.attacks import averaging_success, p1_exact, tuples_needed
 from sdcnoise.noise import TruncatedLaplace, gen_ptable, laplace_variance
 from sdcnoise.utility import read_areas_text, sample_distortions
@@ -374,6 +375,11 @@ EXIT_PROBES = {
     "sample-ck-e-huge": (["utility", "sample", "--mech", "ck", "--v", "2", "--e", "100000000",
                          "--re", "0.5", "--seed", "1"], 2),
     "margin-e-huge": (["attack", "margin", "--e", "100000000"], 2),
+    # the uniform law names its bound, not the variance E(E+1)/3 it would have
+    "delta-uniform-e-zero": (["account", "delta", "--dist", "uniform", "--e", "0", "--eps", "1"], 2),
+    "delta-uniform-e-negative": (["account", "delta", "--dist", "uniform", "--e", "-1", "--eps", "1"], 2),
+    "bound-disclosure-uniform-e-zero": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "0"], 2),
+    "bound-disclosure-uniform-e-negative": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "-1"], 2),
 }
 
 
@@ -402,6 +408,86 @@ def test_exit_contract(tmp_path, args, code):
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
         assert len(proc.stderr.splitlines()) == 1
+
+
+# Every leaf of the command tree as a small valid invocation (E <= 12): its words, then each
+# option it takes with the option's kind and value (None: left out of the valid invocation).
+# PROGRAMME is the positional argument of analyze and account sensitivity.
+EXIT_LEAVES = {
+    "ptable": (["ptable"], {"--v": ("float", "2"), "--e": ("int", "5")}),
+    "analyze": (["analyze"], {"PROGRAMME": ("file", "desk")}),
+    "attack bound-disclosure": (["attack", "bound-disclosure", "--dist", "ptable"], {
+        "--v": ("float", "2"), "--e": ("int", "2"), "--alpha": ("float", "0.68"),
+        "--streams": ("int", "10"), "--seed": ("int", "1")}),
+    "attack margin": (["attack", "margin"], {"--e": ("int", "2"), "--input": ("file", None)}),
+    "attack averaging": (["attack", "averaging"], {
+        "--v": ("float", "2"), "--e": ("int", "5"), "--k": ("int", "10"), "--t": ("int", "5"),
+        "--trials": ("int", "10"), "--seed": ("int", "1"), "--xi": ("float", "0.5")}),
+    "utility estimate": (["utility", "estimate"], {
+        "--eps": ("float", "0.1"), "--re": ("float", "0.5"), "--bin-width": ("int", "20"),
+        "--max-count": ("int", "100"), "--areas": ("file", None)}),
+    "utility sample": (["utility", "sample", "--mech", "ck"], {
+        "--v": ("float", "2"), "--e": ("int", "5"), "--re": ("float", "0.5"), "--seed": ("int", "1"),
+        "--areas": ("file", None)}),
+    "scan ve": (["scan", "ve"], {
+        "--v-min": ("float", "1"), "--v-max": ("float", "2"), "--v-step": ("float", "1"), "--e-min": ("int", "1"),
+        "--e-max": ("int", "3"), "--m-avail": ("float", "1000"), "--kt2": ("float", "0.1"),
+        "--alpha": ("float", "0.68")}),
+    "scan eps": (["scan", "eps"], {
+        "--eps-min": ("float", "0.1"), "--eps-max": ("float", "0.2"), "--eps-step": ("float", "0.1"),
+        "--kt2": ("float", "0.1"), "--e-alpha": ("float", "20"), "--t-lau": ("float", "68"),
+        "--alpha": ("float", "0.68")}),
+    "account delta": (["account", "delta", "--dist", "ptable"], {
+        "--v": ("float", "2"), "--e": ("int", "5"), "--eps": ("float", "1")}),
+    "account sensitivity": (["account", "sensitivity"], {
+        "PROGRAMME": ("file", "sex-age"), "--query": ("str", "SEX")}),
+    "account budget": (["account", "budget"], {"--global-eps": ("float", "1"), "--halving": ("int", "3")}),
+}
+HOSTILE = {
+    "float": ["0", "-1", "nan", "inf", "-inf", "5e-324", "1e308"],
+    "int": ["0", "-1", str(10**6 + 1), str(2**63)],
+    "file": ["{tmp}/missing.csv", "{tmp}/empty.csv", "{tmp}", "{tmp}/garbled.txt", "{tmp}/binary.txt"],
+    "out": ["{tmp}/missing/out.csv"],
+}
+
+
+def test_exit_leaves_cover_the_command_tree():
+    def leaves(command, words):
+        if isinstance(command, click.Group):
+            return [leaf for name, sub in command.commands.items() for leaf in leaves(sub, [*words, name])]
+        return [" ".join(words)]
+
+    assert sorted(leaves(cli.cli, [])) == sorted(EXIT_LEAVES)
+
+
+@pytest.fixture(scope="module")
+def hostile_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("hostile")
+    (tmp / "empty.csv").write_text("")
+    (tmp / "garbled.txt").write_text('{bad,\n"x,1\n')
+    (tmp / "binary.txt").write_bytes(b"\xff\xfe\x00{")
+    return tmp
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_exit_contract_holds_for_one_hostile_option(hostile_files, data):
+    leaf = data.draw(st.sampled_from(sorted(EXIT_LEAVES)), label="leaf")
+    words, options = EXIT_LEAVES[leaf]
+    options = {**options, "--out": ("out", None), "--config": ("file", None)}
+    flag = data.draw(st.sampled_from([f for f, (kind, _) in options.items() if kind != "str"]), label="option")
+    value = data.draw(st.sampled_from(HOSTILE[options[flag][0]]), label="value").format(tmp=hostile_files)
+    options[flag] = options[flag][0], value
+    config = options.pop("--config")[1]
+    programme = [options.pop("PROGRAMME")[1]] if "PROGRAMME" in options else []
+    args = [*(["--config", config] if config else []), *words, *programme]
+    args += [a for f, (_, v) in options.items() if v is not None for a in (f, v)]
+    code, out, err = run_in_process(*args)  # an exception or a warning escaping cli.main fails here
+    assert code in (0, 1, 2), (args, err)
+    if code:
+        assert out == "", args
+    if code == 2:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (args, err)
 
 
 def test_budget_halving_names_its_underflow():
@@ -483,6 +569,28 @@ def test_bound_disclosure_checks_alpha_before_p1(monkeypatch, args, code, messag
     exit_code, out, err = run_in_process("attack", "bound-disclosure", *args)
     assert (exit_code, out) == (code, "")
     assert err.splitlines()[-1] == message
+
+
+@pytest.mark.parametrize(
+    "probe", ["delta-uniform-e-zero", "delta-uniform-e-negative",
+              "bound-disclosure-uniform-e-zero", "bound-disclosure-uniform-e-negative"],
+)
+def test_uniform_law_names_its_bound(probe):
+    args = EXIT_PROBES[probe][0]
+    bound = args[args.index("--e") + 1]
+    assert run_in_process(*args) == (
+        2, "", f"error: bound must be a positive integer no larger than 10**6, got {bound}\n"
+    )
+
+
+@pytest.mark.parametrize("k, t, trials", [(1, 0, 5), (5, 10, 5), (10, 5, 0)])
+def test_averaging_checks_its_sizes_before_the_seed_and_the_solve(monkeypatch, k, t, trials):
+    def fail(variance, bound):
+        raise AssertionError("the p-table was solved before k, t and trials were checked")
+
+    monkeypatch.setattr(noise, "gen_ptable", fail)
+    args = ["--v", "2", "--e", "1000000", "--k", str(k), "--t", str(t), "--trials", str(trials)]
+    assert run_in_process("attack", "averaging", *args) == (2, "", "error: need k >= t >= 1 and positive trials\n")
 
 
 def test_geometric_with_a_bound_samples_the_truncated_law():
@@ -668,6 +776,8 @@ IMPORT_GRAPH = {
     "account budget": (["account", "budget", "--global-eps", "1"], 0, {"cli", "errors", "accounting", "noise"}, False),
     "account delta uniform": (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "1"], 0,
                               {"cli", "errors", "accounting", "noise"}, False),
+    "account delta uniform e zero": (["account", "delta", "--dist", "uniform", "--e", "0", "--eps", "1"], 2,
+                                     {"cli", "errors", "noise"}, False),
     "account delta": (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1"], 0,
                       {"cli", "errors", "accounting", "noise"}, True),
     "attack margin": (["attack", "margin", "--e", "2"], 0, {"cli", "errors", "data", *ATTACKS}, False),

@@ -22,9 +22,9 @@ from sdcnoise.noise import (
     gen_ptable,
     geometric2_pmf,
     laplace_variance,
-    max_entropy_pmf,
     sample_noise,
     uniform_max_variance,
+    uniform_pmf,
 )
 from sdcnoise.utility import scan_eps, tail_prob
 
@@ -80,30 +80,21 @@ def test_gen_ptable_uniform_limit():
     assert pt.variance() == pytest.approx(4.0, abs=1e-9)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 60), st.floats(0.0, 1.0))
-@example(1, 1.0)
-@example(7, 1.0)
-@example(60, 1.0)
-def test_max_entropy_pmf_is_the_ptable(bound, u):
-    # u = 1 is the uniform edge V = E(E+1)/3
-    variance = log_uniform_variance(u, bound)
-    pmf = max_entropy_pmf(variance, bound)
-    assert type(pmf) is list and all(type(p) is float for p in pmf)
-    assert pmf == gen_ptable(variance, bound).probabilities.tolist()
-
-
 @pytest.mark.parametrize("bound", range(1, 51))
 def test_max_entropy_pmf_uniform_is_numpys_uniform(bound):
-    # the table gen_ptable built at the uniform edge: exp(-0 * j**2), all ones, over its sum
-    assert max_entropy_pmf(uniform_max_variance(bound), bound) == (np.ones(2 * bound + 1) / (2 * bound + 1)).tolist()
+    # the max-entropy table at the uniform edge is uniform_pmf, the table the bisection would
+    # build there: exp(-0 * j**2), all ones, over its sum
+    pmf = uniform_pmf(bound)
+    assert type(pmf) is list and all(type(p) is float for p in pmf)
+    assert pmf == gen_ptable(uniform_max_variance(bound), bound).probabilities.tolist()
+    assert pmf == (np.ones(2 * bound + 1) / (2 * bound + 1)).tolist()
 
 
 def test_max_entropy_pmf_uniform_loads_no_numpy():
     code = (
         "import sys\n"
-        "from sdcnoise.noise import max_entropy_pmf, uniform_max_variance\n"
-        "assert max_entropy_pmf(uniform_max_variance(9), 9) == [1 / 19] * 19\n"
+        "from sdcnoise.noise import uniform_pmf\n"
+        "assert uniform_pmf(9) == [1 / 19] * 19\n"
         "print('numpy' in sys.modules)\n"
     )
     src = str(Path(sys.modules["sdcnoise.noise"].__file__).parents[1])
@@ -225,7 +216,7 @@ def test_every_noise_bound_is_at_most_a_million():
             check_bound(bound)
     # each bounded site refuses the bound before it builds a table of 2E + 1 values
     for build in (lambda: gen_ptable(2.0, 10**20), lambda: TruncatedLaplace(1.0, 10**20),
-                  lambda: margin_exploit_scan([[1, 1]], 10**20)):
+                  lambda: uniform_pmf(10**20), lambda: margin_exploit_scan([[1, 1]], 10**20)):
         with pytest.raises(DomainError, match="no larger than"):
             build()
 
