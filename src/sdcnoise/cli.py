@@ -13,8 +13,8 @@ and the library imports numpy only where it builds arrays.  So ``--help``,
 usage errors, ``analyze``, ``attack margin``, ``scan eps``, ``account
 sensitivity`` and ``account budget`` start without numpy, and so do the
 uniform law of ``account delta`` and of ``attack bound-disclosure`` without
-``--streams``.  :func:`_law_pmf` gives the probabilities of every finite law:
-:func:`noise.uniform_pmf` for the uniform law, the spec's p-table otherwise.
+``--streams``.  A law's options (exit 1) and a command's cheap rules are
+checked before :func:`_law_pmf` or :func:`_spec_for` builds the law's table.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ _LAW_OPTIONS = {
 def _check_law_options(law: str, eps: float | None, variance: float | None, bound: int | None) -> None:
     """Usage error for a missing option the law needs or a given option it does not read.
 
-    So no output records a parameter that did not shape the noise.  Commands that
-    need only a law's probabilities call this without building a spec.
+    So no output records a parameter that did not shape the noise.  Each command
+    with a law option calls this first, before its cheap checks and the law's table.
     """
     required, optional = _LAW_OPTIONS[law]
     for flag, value in (("--eps", eps), ("--v", variance), ("--e", bound)):
@@ -175,8 +175,7 @@ def _check_law_options(law: str, eps: float | None, variance: float | None, boun
 
 
 def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | None) -> noise.NoiseSpec:
-    """The noise spec of a law other than uniform (``ptable`` is ``ck``'s law), its options checked."""
-    _check_law_options(law, eps, variance, bound)
+    """The noise spec of a law other than uniform (``ptable`` is ``ck``'s law), from checked options."""
     from . import noise
     if law == "laplace":
         return noise.Laplace(epsilon=eps)
@@ -188,9 +187,8 @@ def _spec_for(law: str, eps: float | None, variance: float | None, bound: int | 
 
 
 def _law_pmf(law: str, eps: float | None, variance: float | None, bound: int) -> list[float]:
-    """The probabilities of {-E..E} under a finite law (uniform, ptable, geometric with --e), its options checked."""
+    """The probabilities of {-E..E} under a finite law (uniform, ptable, geometric with --e), from checked options."""
     if law == "uniform":
-        _check_law_options(law, eps, variance, bound)
         from . import noise
         return noise.uniform_pmf(bound)
     return _spec_for(law, eps, variance, bound).ptable().probabilities.tolist()
@@ -272,9 +270,10 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
     """Probability and 3-tuple complexity of disclosing the noise bound."""
     if seed is not None and streams == 0:
         raise click.UsageError("--seed is not read without --streams: the analytic figure samples nothing")
-    pmf = _law_pmf(dist, None, variance, bound)
+    _check_law_options(dist, None, variance, bound)
     from . import attacks, noise
     attacks.check_alpha(alpha)
+    pmf = _law_pmf(dist, None, variance, bound)
     p1 = float(attacks.p1_exact(pmf, bound))
     m = attacks.tuples_needed(p1, alpha)
     if streams > 0:
@@ -386,11 +385,13 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
 @click.option("--out", type=click.Path(), default=None)
 def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, out):
     """Sample noise on area counts and tally distortions per threshold."""
+    _check_law_options(mech, eps, variance, bound)
     from . import utility
+    thresholds = [utility.check_re_threshold(x) for x in re_thresholds]
     records = utility.read_areas_text(_read_input(areas, "synth_areas.csv"))
     spec = _spec_for(mech, eps, variance, bound)
     seed = _resolve_seed(seed)
-    tallies = utility.sample_distortions(records, spec, seed, list(re_thresholds))
+    tallies = utility.sample_distortions(records, spec, seed, thresholds)
     _write_csv(
         out,
         _header(
@@ -488,7 +489,9 @@ def cmd_delta(dist, bound, variance, eps, out):
     cell is then perfectly distinguishable (delta = 1).
     """
     # --eps is the accounting epsilon; of these laws only the geometric one also reads it
-    pmf = _law_pmf(dist, eps if dist == "geometric" else None, variance, bound)
+    law_eps = eps if dist == "geometric" else None
+    _check_law_options(dist, law_eps, variance, bound)
+    pmf = _law_pmf(dist, law_eps, variance, bound)
     from . import accounting
     delta = accounting.tightest_delta(dict(zip(range(-bound, bound + 1), pmf)), eps)
     _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)

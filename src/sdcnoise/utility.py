@@ -2,10 +2,11 @@
 
 The tail probability of unbounded per-count noise is folded with the
 distribution of small-area counts to estimate how many published counts
-exceed a relative error threshold; sampled runs cross-check the estimates.
+exceed a relative error threshold (:func:`check_re_threshold` is its one
+rule, run before any draw); sampled runs cross-check the estimates.
 Small areas are held as one read-only (n, 3) int64 array of (f, m, t)
-counts (``Areas``), which both the histogram and the sampled tallies read
-directly; areas read from a file also keep their ids, to name a bad area.
+counts (``Areas``, the one count check), which both the histogram and the
+sampled tallies read directly; a file's areas keep their ids, to name a bad one.
 Two grid scans sweep the bounded-noise (V, E) plane (each E checked as a
 bound before any cell) and the per-count privacy budget range, recording
 every probability and feasibility flag per cell for heat-map plotting.
@@ -31,15 +32,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _area_fault(where: str, f: int, m: int, t: int) -> str | None:
-    """Why the counts of the area ``where`` names are invalid, or None when f, m >= 0 and f + m = t."""
-    if f < 0 or m < 0:
-        return f"negative count in area{where}"
-    if f + m != t:
-        return f"area{where}: f + m = {f + m} != t = {t}"
-    return None
-
-
 class _AreaError(DomainError):
     """A DomainError about the area at ``row``, so a reader can name its input line."""
 
@@ -50,16 +42,11 @@ class _AreaError(DomainError):
 
 @dataclass(frozen=True, slots=True)
 class AreaRecord:
-    """The sex-split (f, m, t) population counts of one small area."""
+    """The sex-split (f, m, t) population counts of one small area, as ``Areas`` checked them."""
 
     f: int
     m: int
     t: int
-
-    def __post_init__(self):
-        fault = _area_fault("", self.f, self.m, self.t)
-        if fault:
-            raise DomainError(fault)
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +56,7 @@ class Areas:
     The counts are copied and checked once, vectorised: f, m >= 0 and
     f + m = t in every row, the first bad area named in the DomainError by
     its id, or by its 0-based row when the areas have no ids (``area_ids``
-    is None). Iteration builds ``AreaRecord``s of the counts on the fly;
+    is None). Iteration builds ``AreaRecord``s of the checked counts on the fly;
     there is no indexing or slicing, so read ``counts`` for that.
     """
 
@@ -92,7 +79,9 @@ class Areas:
         if bad.any():
             row = int(bad.argmax())
             where = f" at row {row}" if ids is None else f" {ids[row]!r}"
-            raise _AreaError(_area_fault(where, *counts[row].tolist()), row)
+            f, m, t = counts[row].tolist()
+            fault = f"negative count in area{where}" if f < 0 or m < 0 else f"area{where}: f + m = {f + m} != t = {t}"
+            raise _AreaError(fault, row)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "area_ids", ids)
@@ -128,6 +117,13 @@ def tail_prob(epsilon: float, threshold: float) -> float:
     return math.exp(-epsilon * threshold)
 
 
+def check_re_threshold(re_threshold: float) -> float:
+    """``re_threshold`` if it is positive, else DomainError (NaN included): the one relative-error threshold check."""
+    if not re_threshold > 0:
+        raise DomainError(f"relative error threshold must be positive, got {re_threshold}")
+    return re_threshold
+
+
 def binned_distortion_estimate(
     hist: CountHistogram, epsilon: float, re_threshold: float
 ) -> list[float]:
@@ -137,8 +133,7 @@ def binned_distortion_estimate(
     (every count in the bin is at most the right edge, so the true exceedance
     probability is at least the one used here).
     """
-    if not re_threshold > 0:
-        raise DomainError(f"relative error threshold must be positive, got {re_threshold}")
+    check_re_threshold(re_threshold)
     estimates = []
     for right, count in zip(hist.bin_edges[1:], hist.bin_counts):
         estimates.append(count * tail_prob(epsilon, re_threshold * right))
@@ -231,6 +226,7 @@ def sample_distortions(
     """
     if len(re_thresholds) == 0:
         raise DomainError("need at least one relative-error threshold")
+    thresholds = [check_re_threshold(x) for x in re_thresholds]
     import numpy as np
     truth = areas.counts
     noise = np.asarray(sample_noise(spec, seed, truth.size) if truth.size else (), dtype=float).reshape(truth.shape)
@@ -240,9 +236,7 @@ def sample_distortions(
     same_sign = np.all(noise > 0, axis=1) | np.all(noise < 0, axis=1)  # neither term depends on the threshold
     zero_hits = int(((~positive) & (noise != 0)).sum())
     tallies = []
-    for threshold in re_thresholds:
-        if not threshold > 0:
-            raise DomainError(f"relative error threshold must be positive, got {threshold}")
+    for threshold in thresholds:
         exceed = (rel > threshold) & positive
         broadband = np.all(exceed, axis=1) & same_sign
         tallies.append(

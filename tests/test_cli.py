@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcnoise
-from sdcnoise import __version__, attacks, cli, noise
+from sdcnoise import __version__, attacks, cli, noise, utility
 from sdcnoise.attacks import averaging_success, p1_exact, tuples_needed
 from sdcnoise.noise import TruncatedLaplace, gen_ptable, laplace_variance
 from sdcnoise.utility import read_areas_text, sample_distortions
@@ -554,12 +554,14 @@ def test_analytic_bound_disclosure_reads_no_seed():
         (["--dist", "ptable", "--v", "2", "--e", "1000", "--alpha", "0"], 2, "error: alpha must lie in (0,1), got 0.0"),
         (["--dist", "uniform", "--e", "2", "--alpha", "nan", "--streams", "5"], 2,
          "error: alpha must lie in (0,1), got nan"),
-        # the law's options are checked and its pmf built first
+        # the law's options are checked first ...
         (["--dist", "ptable", "--e", "2", "--alpha", "0"], 1, "Error: --v is required for the ptable law"),
-        (["--dist", "ptable", "--v", "9", "--e", "2", "--alpha", "0"], 2,
+        # ... then alpha, then the law's table
+        (["--dist", "ptable", "--v", "9", "--e", "2", "--alpha", "0"], 2, "error: alpha must lie in (0,1), got 0.0"),
+        (["--dist", "ptable", "--v", "9", "--e", "2"], 2,
          "error: variance 9.0 is not positive or exceeds the uniform maximum E(E+1)/3 = 2.0"),
     ],
-    ids=["alpha-zero-e1000", "alpha-nan-streams", "missing-v", "infeasible-v"],
+    ids=["alpha-zero-e1000", "alpha-nan-streams", "missing-v", "infeasible-v", "infeasible-v-valid-alpha"],
 )
 def test_bound_disclosure_checks_alpha_before_p1(monkeypatch, args, code, message):
     def fail(pmf, bound):
@@ -569,6 +571,41 @@ def test_bound_disclosure_checks_alpha_before_p1(monkeypatch, args, code, messag
     exit_code, out, err = run_in_process("attack", "bound-disclosure", *args)
     assert (exit_code, out) == (code, "")
     assert err.splitlines()[-1] == message
+
+
+def fail_to_solve_or_draw(monkeypatch):
+    """Make building a p-table or drawing noise fail, so a check that must come first is seen to."""
+    def fail(*args):
+        raise AssertionError("the law's table was built or noise drawn before a cheap check")
+
+    for module, name in [(noise, "gen_ptable"), (noise, "sample_noise"), (utility, "sample_noise")]:
+        monkeypatch.setattr(module, name, fail)
+
+
+def test_bound_disclosure_checks_alpha_before_the_table(monkeypatch):
+    fail_to_solve_or_draw(monkeypatch)
+    args = ["--dist", "ptable", "--v", "2", "--e", "1000000", "--alpha", "0"]
+    assert run_in_process("attack", "bound-disclosure", *args) == (2, "", "error: alpha must lie in (0,1), got 0.0\n")
+
+
+@pytest.mark.parametrize(
+    "thresholds, shown",
+    [(["-1"], "-1.0"), (["0"], "0.0"), (["nan"], "nan"), (["0.5", "-1"], "-1.0")],
+    ids=["negative", "zero", "nan", "second-negative"],
+)
+def test_utility_sample_checks_its_thresholds_before_the_table_and_the_draws(monkeypatch, thresholds, shown):
+    fail_to_solve_or_draw(monkeypatch)
+    args = ["--mech", "ck", "--v", "2", "--e", "1000000", *(a for x in thresholds for a in ("--re", x))]
+    assert run_in_process("utility", "sample", *args) == (
+        2, "", f"error: relative error threshold must be positive, got {shown}\n"
+    )
+
+
+def test_utility_sample_law_usage_error_comes_before_the_thresholds(monkeypatch):
+    fail_to_solve_or_draw(monkeypatch)
+    code, out, err = run_in_process("utility", "sample", "--mech", "ck", "--e", "5", "--re", "-1")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "Error: --v is required for the ck law"
 
 
 @pytest.mark.parametrize(

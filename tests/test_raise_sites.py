@@ -1,4 +1,9 @@
-"""Every library error that only a malformed call reaches, called in process: its class and exact message."""
+"""Every library error that only a malformed call reaches, called in process: its class and exact message.
+
+Each parameter rule's message also occurs once in the package source: the rule has one owner.
+"""
+
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +91,20 @@ def test_library_raise_site(call, error, message):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+# The message of each parameter rule that more than one caller needs.
+RULE_MESSAGES = [
+    "relative error threshold must be positive",
+    "alpha must lie in (0,1)",
+    "bound must be a positive integer no larger than 10**6",
+    "epsilon must be positive and finite",
+    "need k >= t >= 1 and positive trials",
+    "negative count in area",
+]
+
+
+@pytest.mark.parametrize("message", RULE_MESSAGES)
+def test_each_parameter_rule_has_one_owner(message):
+    sources = [path.read_text(encoding="utf-8") for path in Path(utility.__file__).parent.rglob("*.py")]
+    assert sum(text.count(message) for text in sources) == 1

@@ -78,22 +78,12 @@ def test_histogram_validation():
         observations_histogram(synthetic_areas(10, 1), [0, math.nan])
 
 
-def test_area_record_validation():
-    AreaRecord(f=2, m=3, t=5)
-    with pytest.raises(DomainError, match="^area: f \\+ m = 5 != t = 6$"):
-        AreaRecord(f=2, m=3, t=6)
-    with pytest.raises(DomainError, match="^negative count in area$"):
-        AreaRecord(f=-1, m=1, t=0)
-
-
 def test_area_record_is_slotted_and_frozen():
     area = AreaRecord(f=2, m=3, t=5)
     assert [f.name for f in dataclasses.fields(AreaRecord)] == ["f", "m", "t"]
     assert not hasattr(area, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         area.f = 3
-    with pytest.raises(DomainError, match="f \\+ m = 7 != t = 5"):
-        dataclasses.replace(area, f=4)
     assert dataclasses.replace(area, f=4, t=7) == AreaRecord(4, 3, 7)
 
 
@@ -301,14 +291,32 @@ def test_records_too_large_for_int64_are_a_domain_error():
 
 def test_columnar_paths_build_no_area_record(monkeypatch):
     calls = []
-    check = AreaRecord.__post_init__
-    monkeypatch.setattr(AreaRecord, "__post_init__", lambda self: calls.append(self) or check(self))
+    monkeypatch.setattr(utility, "AreaRecord", lambda *counts: calls.append(counts) or AreaRecord(*counts))
     areas = synthetic_areas(10**4, 17)
     observations_histogram(areas, [0, 20, 500])
     sample_distortions(areas, Laplace(epsilon=0.1), 3, [0.5])
     assert calls == []
-    next(iter(areas))  # the patched check is the one records run
+    assert next(iter(areas)) == AreaRecord(*areas.counts[0].tolist())  # iteration builds the patched name
     assert len(calls) == 1
+
+
+def test_check_re_threshold_is_the_one_threshold_rule():
+    assert utility.check_re_threshold(0.5) == 0.5
+    assert utility.check_re_threshold(math.inf) == math.inf
+    for bad in (0, -1, -0.0, math.nan, -math.inf):
+        with pytest.raises(DomainError) as info:
+            utility.check_re_threshold(bad)
+        assert str(info.value) == f"relative error threshold must be positive, got {bad}"
+
+
+def test_sample_distortions_checks_every_threshold_before_it_draws(monkeypatch):
+    def fail(spec, seed, count):
+        raise AssertionError("noise was drawn before the thresholds were checked")
+
+    monkeypatch.setattr(utility, "sample_noise", fail)
+    with pytest.raises(DomainError) as info:
+        sample_distortions(synthetic_areas(10, 1), Laplace(epsilon=0.1), 3, [0.5, -1])
+    assert str(info.value) == "relative error threshold must be positive, got -1"
 
 
 def distortions_by_record(records, spec, seed, thresholds):
