@@ -39,14 +39,20 @@ def _excess(p: float, q: float, factor: float, epsilon: float) -> float:
     return p - math.exp(epsilon + math.log(q))
 
 
+def check_delta_epsilon(epsilon: float) -> float:
+    """``epsilon`` if 0 <= epsilon < inf, else DomainError (NaN included): the one rule of the epsilon of a delta."""
+    if not 0 <= epsilon < math.inf:
+        raise DomainError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    return epsilon
+
+
 def tightest_delta(pmf: Mapping[int, float], epsilon: float) -> float:
     """Smallest delta making a unit-shifted pair of this noise pmf (eps, delta)-DP.
 
     Maximizes sum_x max(0, p(x) - e^eps * p(x - s)) over shifts s in {+1, -1};
     strictly positive for every bounded pmf at any finite epsilon.
     """
-    if not 0 <= epsilon < math.inf:
-        raise DomainError(f"epsilon must be nonnegative and finite, got {epsilon}")
+    check_delta_epsilon(epsilon)
     total = sum(pmf.values())
     if not abs(total - 1.0) <= 1e-9 or not all(p >= 0 for p in pmf.values()):
         raise DomainError(f"invalid pmf (sum {total})")

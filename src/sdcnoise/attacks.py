@@ -215,13 +215,21 @@ def margin_exploit_mc(ptable: PTable, count: int, seed) -> AttackReport:
 # --- massive averaging -------------------------------------------------------
 
 
+def check_xi(xi: float) -> float:
+    """``xi`` if it is positive, else DomainError (NaN included): the one check of the averaging pin width."""
+    if not xi > 0:
+        raise DomainError(f"xi must be positive, got {xi}")
+    return xi
+
+
 def averaging_success(variance: float, k: float, t: float, xi: float = 0.5) -> float:
     """Probability that the t-fold redundancy average pins the target within xi.
 
     Evaluates the normal model with summed-noise variance k*V/t^2 exactly.
     """
-    if not (variance >= 0 and k > 0 and t > 0 and xi > 0):
-        raise DomainError("V must be nonnegative and k, t, xi positive")
+    if not (variance >= 0 and k > 0 and t > 0):
+        raise DomainError("V must be nonnegative and k, t positive")
+    check_xi(xi)
     spread = math.sqrt(2.0 * (k * variance / t**2))
     # a spread below float resolution pins the target
     return math.erf(xi / spread) if spread > 0 else 1.0

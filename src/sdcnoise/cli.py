@@ -2,8 +2,9 @@
 
 Every command is a thin wrapper over the library: values printed equal
 direct library-call results.  Outputs are CSV or JSON only; CSV files carry
-a comment header with the tool version, the resolved parameters and the
-seed, so that every disclosure-control decision leaves an audit trail.
+a comment header with the tool version, the command, the resolved parameters
+and the seed, written by :func:`_write_csv` alone, so that every
+disclosure-control decision leaves an audit trail.
 
 Exit codes: 0 success, 1 usage error, 2 domain error (infeasible parameters,
 bad programme files, ...).
@@ -86,14 +87,6 @@ def _check_rows(rows: float, what: str) -> None:
         raise click.UsageError(f"{what} has more than {_MAX_ROWS} rows")
 
 
-def _header(command: str, params: dict, seed: int | None = None) -> list[str]:
-    lines = [f"sdcnoise {__version__}", f"command: {command}"]
-    lines += [f"{k}: {v}" for k, v in params.items()]
-    if seed is not None:
-        lines.append(f"seed: {seed}")
-    return lines
-
-
 def _emit(text: str, out: str | None) -> None:
     """The one output sink: the file ``out`` if given, else stdout."""
     if not out:
@@ -116,8 +109,11 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _write_csv(out: str | None, header: list[str], columns, rows) -> None:
-    """Header lines as ``#`` comments, the column line, then one line per row."""
+def _write_csv(out: str | None, command: str, params: dict, columns, rows, seed: int | None = None) -> None:
+    """The one CSV writer: ``#`` lines of the version, command, each resolved parameter and any seed, then the table."""
+    header = [f"sdcnoise {__version__}", f"command: {command}", *(f"{k}: {v}" for k, v in params.items())]
+    if seed is not None:
+        header.append(f"seed: {seed}")
     lines = [f"# {line}" for line in header] + [",".join(columns)]
     lines += [",".join(_format_value(v) for v in row) for row in rows]
     _emit("\n".join(lines) + "\n", out)
@@ -203,8 +199,7 @@ def cmd_ptable(variance, bound, out):
     from . import noise
     ptable = noise.gen_ptable(variance, bound)
     _write_csv(
-        out,
-        _header("ptable", {"V": variance, "E": bound}),
+        out, "ptable", {"V": variance, "E": bound},
         ["j", "p_j", "cumulative"],
         zip(range(-bound, bound + 1), ptable.probabilities.tolist(), ptable.cumulative.tolist()),
     )
@@ -239,11 +234,7 @@ def cmd_analyze(programme, spsn, geo_override, order, out):
         prog, spsn=spsn, geo_cardinalities=overrides or None, order=order
     )
     _write_csv(
-        out,
-        _header(
-            "analyze",
-            {"programme": programme, "spsn": spsn, "order": order, "geo_override": dict(overrides)},
-        ),
+        out, "analyze", {"programme": programme, "spsn": spsn, "order": order, "geo_override": dict(overrides)},
         ["statistic", "spsn", "t", "k", "ratio", "opt_t", "opt_k", "opt_ratio"],
         (
             [s.target.label(), spsn, s.raw.t, s.raw.k, s.raw.ratio,
@@ -337,6 +328,7 @@ def cmd_averaging(variance, bound, k, t, trials, seed, xi, out):
         raise click.UsageError(f"--k {k} by --trials {trials} draws more than {_MAX_DRAWS} noise values")
     from . import attacks, noise
     attacks.check_averaging(k, t, trials)
+    attacks.check_xi(xi)
     seed = _resolve_seed(seed)
     ptable = noise.gen_ptable(variance, bound)
     report = attacks.averaging_mc(ptable, k, t, trials, seed, xi)
@@ -364,11 +356,7 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
     hist = utility.observations_histogram(records, edges)
     estimates = utility.binned_distortion_estimate(hist, eps, re_threshold)
     _write_csv(
-        out,
-        _header(
-            "utility estimate",
-            {"eps": eps, "re": re_threshold, "bin_width": bin_width, "areas": areas or "bundled"},
-        ),
+        out, "utility estimate", {"eps": eps, "re": re_threshold, "bin_width": bin_width, "areas": areas or "bundled"},
         ["bin_left", "bin_right", "observations", "expected_exceed"],
         zip(hist.bin_edges, hist.bin_edges[1:], hist.bin_counts, estimates),
     )
@@ -393,14 +381,10 @@ def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, o
     seed = _resolve_seed(seed)
     tallies = utility.sample_distortions(records, spec, seed, thresholds)
     _write_csv(
-        out,
-        _header(
-            "utility sample",
-            {"mech": mech, "eps": eps, "V": variance, "E": bound, "areas": areas or "bundled"},
-            seed,
-        ),
+        out, "utility sample", {"mech": mech, "eps": eps, "V": variance, "E": bound, "areas": areas or "bundled"},
         ["re_threshold", "single", "broadband", "zero_hits"],
         ((t.re_threshold, t.single, t.broadband, t.zero_hits) for t in tallies),
+        seed,
     )
 
 
@@ -421,8 +405,8 @@ def _grid_range(lo: float, hi: float, step: float) -> list[float]:
     return [float(f"{v:.12g}") for v in values]
 
 
-def _write_grid(out: str | None, header: list[str], grid: utility.ConstraintGrid) -> None:
-    _write_csv(out, header, grid.columns, ([cell.get(c) for c in grid.columns] for cell in grid.cells))
+def _write_grid(out: str | None, command: str, params: dict, grid: utility.ConstraintGrid) -> None:
+    _write_csv(out, command, params, grid.columns, ([cell.get(c) for c in grid.columns] for cell in grid.cells))
 
 
 @scan_group.command("ve")
@@ -443,7 +427,7 @@ def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
     _check_rows(len(v_values) * (e_max - e_min + 1), f"a {len(v_values)} by {e_max - e_min + 1} (V, E) grid")
     from . import utility
     grid = utility.scan_ve(v_values, list(range(e_min, e_max + 1)), m_avail, kt2=kt2, alpha=alpha)
-    _write_grid(out, _header("scan ve", {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}), grid)
+    _write_grid(out, "scan ve", {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}, grid)
 
 
 @scan_group.command("eps")
@@ -460,14 +444,7 @@ def cmd_scan_eps(eps_min, eps_max, eps_step, kt2_values, e_alpha, t_lau, alpha, 
     eps_values = _grid_range(eps_min, eps_max, eps_step)
     from . import utility
     grid = utility.scan_eps(eps_values, list(kt2_values), e_alpha, t_lau, alpha=alpha)
-    _write_grid(
-        out,
-        _header(
-            "scan eps",
-            {"kt2": list(kt2_values), "e_alpha": e_alpha, "t_lau": t_lau, "alpha": alpha},
-        ),
-        grid,
-    )
+    _write_grid(out, "scan eps", {"kt2": list(kt2_values), "e_alpha": e_alpha, "t_lau": t_lau, "alpha": alpha}, grid)
 
 
 @cli.group("account")
@@ -491,8 +468,9 @@ def cmd_delta(dist, bound, variance, eps, out):
     # --eps is the accounting epsilon; of these laws only the geometric one also reads it
     law_eps = eps if dist == "geometric" else None
     _check_law_options(dist, law_eps, variance, bound)
-    pmf = _law_pmf(dist, law_eps, variance, bound)
     from . import accounting
+    accounting.check_delta_epsilon(eps)
+    pmf = _law_pmf(dist, law_eps, variance, bound)
     delta = accounting.tightest_delta(dict(zip(range(-bound, bound + 1), pmf)), eps)
     _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)
 

@@ -21,7 +21,7 @@ import csv
 import math
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
 from .attacks import averaging_success, check_alpha, p1_exact, tuples_needed
@@ -56,16 +56,20 @@ class Areas:
     The counts are copied and checked once, vectorised: f, m >= 0 and
     f + m = t in every row, the first bad area named in the DomainError by
     its id, or by its 0-based row when the areas have no ids (``area_ids``
-    is None). Iteration builds ``AreaRecord``s of the checked counts on the fly;
-    there is no indexing or slicing, so read ``counts`` for that.
+    is None). ``copy=False`` keeps an (n, 3) int64 C-order array as it is and
+    makes it read-only, for an array no one else holds (the library's readers
+    pass their own). Iteration builds ``AreaRecord``s of the checked counts on
+    the fly; there is no indexing or slicing, so read ``counts`` for that.
     """
 
     counts: np.ndarray
     area_ids: tuple[str, ...] | None = None
+    _: KW_ONLY
+    copy: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, copy: bool):
         import numpy as np
-        counts = np.array(self.counts, order="C")
+        counts = (np.array if copy else np.asarray)(self.counts, order="C")
         if counts.dtype != np.int64 or counts.ndim != 2 or counts.shape[1] != 3:
             raise DomainError(f"area counts must be an (n, 3) int64 array, got {counts.dtype} {counts.shape}")
         n, ids = len(counts), self.area_ids
@@ -172,7 +176,7 @@ def read_areas_text(text: str) -> Areas:
             f"area CSV line {lines[row]}: area {ids[row]!r}: count does not fit a 64-bit integer"
         ) from None
     try:
-        return Areas(counts, ids)
+        return Areas(counts, ids, copy=False)
     except _AreaError as exc:
         raise DomainError(f"area CSV line {lines[exc.row]}: {exc}") from exc
 
@@ -190,7 +194,7 @@ def synthetic_areas(count: int, seed) -> Areas:
     totals = np.exp(rng.uniform(0.0, math.log(500), size=count)).astype(np.int64)
     totals = np.clip(totals, 1, 500)
     females = rng.binomial(totals, 0.5)
-    return Areas(np.column_stack((females, totals - females, totals)))
+    return Areas(np.column_stack((females, totals - females, totals)), copy=False)
 
 
 def observations_histogram(areas: Areas, edges: Sequence[float]) -> CountHistogram:

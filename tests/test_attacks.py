@@ -263,7 +263,7 @@ def test_mc_reports_record_a_numpy_integer_seed_as_an_int(seed):
 def test_averaging_mc_rejects_xi_before_sampling(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("sampled before checking xi"))
     for xi in (math.nan, 0.0, -1.0):
-        with pytest.raises(DomainError, match="xi positive"):
+        with pytest.raises(DomainError, match=f"^xi must be positive, got {xi}$"):
             averaging_mc(gen_ptable(2.0, 10), 60000, 100, 2000, 1, xi=xi)
 
 

@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -490,6 +491,50 @@ def test_exit_contract_holds_for_one_hostile_option(hostile_files, data):
         assert err.startswith("error: ") and len(err.splitlines()) == 1, (args, err)
 
 
+# Each law command as a valid invocation at the largest bound, E = 10**6, where building the
+# law's table takes over a second, and values that the rule of each of its options rejects.
+AT_THE_BOUND_CAP = {
+    "ptable": ["ptable", "--v", "2", "--e", "1000000"],
+    "attack bound-disclosure": ["attack", "bound-disclosure", "--dist", "ptable", "--v", "2", "--e", "1000000",
+                                "--alpha", "0.68", "--streams", "10", "--seed", "1"],
+    "attack averaging": ["attack", "averaging", "--v", "2", "--e", "1000000", "--k", "10", "--t", "5",
+                         "--trials", "5", "--seed", "1", "--xi", "0.5"],
+    "utility sample": ["utility", "sample", "--mech", "ck", "--v", "2", "--e", "1000000", "--re", "0.5",
+                       "--seed", "1"],
+    "account delta": ["account", "delta", "--dist", "ptable", "--v", "2", "--e", "1000000", "--eps", "1"],
+}
+REJECTED = {
+    "--v": ["0", "-1", "nan", "inf", "1e308"], "--e": ["0", "-1", "1000001"], "--alpha": ["0", "1", "nan"],
+    "--xi": ["0", "-1", "nan"], "--eps": ["-1", "nan", "inf"], "--re": ["0", "-1", "nan"], "--k": ["0", "-1"],
+    "--t": ["0", "-1"], "--trials": ["0", "-1"], "--seed": ["-1"], "--streams": ["-1"],
+}
+REJECTIONS_AT_THE_CAP = sorted(
+    (leaf, flag, value)
+    for leaf, args in AT_THE_BOUND_CAP.items()
+    for flag in args if flag in REJECTED
+    for value in REJECTED[flag]
+)
+# the in-process wall time of a rejection; a solve at E = 10**6 takes 1.2 s or more on a 2-core Xeon VM
+REJECTION_BUDGET_S = 0.5
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(REJECTIONS_AT_THE_CAP))
+@example(("attack averaging", "--xi", "-1"))
+@example(("account delta", "--eps", "-1"))
+def test_law_commands_reject_a_bad_option_before_the_table(rejection):
+    leaf, flag, value = rejection
+    args = list(AT_THE_BOUND_CAP[leaf])
+    args[args.index(flag) + 1] = value
+    start = time.perf_counter()
+    code, out, err = run_in_process(*args)
+    elapsed = time.perf_counter() - start
+    assert code in (1, 2) and out == "", (args, err)
+    if code == 2:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1, (args, err)
+    assert elapsed < REJECTION_BUDGET_S, (args, elapsed)
+
+
 def test_budget_halving_names_its_underflow():
     # the budget-halving-2000 probe: eps/2^i is 0, an epsilon the user never gave
     proc = run_cli(*EXIT_PROBES["budget-halving-2000"][0], check=False)
@@ -628,6 +673,21 @@ def test_averaging_checks_its_sizes_before_the_seed_and_the_solve(monkeypatch, k
     monkeypatch.setattr(noise, "gen_ptable", fail)
     args = ["--v", "2", "--e", "1000000", "--k", str(k), "--t", str(t), "--trials", str(trials)]
     assert run_in_process("attack", "averaging", *args) == (2, "", "error: need k >= t >= 1 and positive trials\n")
+
+
+@pytest.mark.parametrize("xi, shown", [("0", "0.0"), ("-1", "-1.0"), ("nan", "nan")])
+def test_averaging_checks_xi_before_the_seed_and_the_solve(monkeypatch, xi, shown):
+    fail_to_solve_or_draw(monkeypatch)
+    args = ["--v", "2", "--e", "1000000", "--k", "10", "--t", "5", "--trials", "5", "--xi", xi]
+    assert run_in_process("attack", "averaging", *args) == (2, "", f"error: xi must be positive, got {shown}\n")
+
+
+@pytest.mark.parametrize("dist", [["ptable", "--v", "2"], ["uniform"], ["geometric"]], ids=lambda d: d[0])
+def test_account_delta_checks_its_epsilon_before_the_table(monkeypatch, dist):
+    fail_to_solve_or_draw(monkeypatch)
+    monkeypatch.setattr(noise, "uniform_pmf", lambda bound: pytest.fail("the uniform law was built first"))
+    args = ["account", "delta", "--dist", *dist, "--e", "1000000", "--eps", "-1"]
+    assert run_in_process(*args) == (2, "", "error: epsilon must be nonnegative and finite, got -1.0\n")
 
 
 def test_geometric_with_a_bound_samples_the_truncated_law():
@@ -813,8 +873,9 @@ IMPORT_GRAPH = {
     "account budget": (["account", "budget", "--global-eps", "1"], 0, {"cli", "errors", "accounting", "noise"}, False),
     "account delta uniform": (["account", "delta", "--dist", "uniform", "--e", "2", "--eps", "1"], 0,
                               {"cli", "errors", "accounting", "noise"}, False),
+    # the accounting epsilon is checked before the law's bound
     "account delta uniform e zero": (["account", "delta", "--dist", "uniform", "--e", "0", "--eps", "1"], 2,
-                                     {"cli", "errors", "noise"}, False),
+                                     {"cli", "errors", "accounting", "noise"}, False),
     "account delta": (["account", "delta", "--dist", "ptable", "--v", "2", "--e", "5", "--eps", "1"], 0,
                       {"cli", "errors", "accounting", "noise"}, True),
     "attack margin": (["attack", "margin", "--e", "2"], 0, {"cli", "errors", "data", *ATTACKS}, False),

@@ -82,6 +82,11 @@ RAISE_SITES = {
                          "bound and output count must be positive"),
     "dp-utility-alpha": (lambda: utility.dp_utility_eps(20, 68, 1.0), DomainError, "alpha must lie in (0,1), got 1.0"),
     "check-alpha-nan": (lambda: attacks.check_alpha(float("nan")), DomainError, "alpha must lie in (0,1), got nan"),
+    "averaging-success-k": (lambda: attacks.averaging_success(2.0, 0, 5), DomainError,
+                            "V must be nonnegative and k, t positive"),
+    "check-xi-nan": (lambda: attacks.check_xi(float("nan")), DomainError, "xi must be positive, got nan"),
+    "check-delta-epsilon-nan": (lambda: accounting.check_delta_epsilon(float("nan")), DomainError,
+                                "epsilon must be nonnegative and finite, got nan"),
 }
 
 
@@ -100,6 +105,8 @@ RULE_MESSAGES = [
     "bound must be a positive integer no larger than 10**6",
     "epsilon must be positive and finite",
     "need k >= t >= 1 and positive trials",
+    "xi must be positive",
+    "epsilon must be nonnegative and finite",
     "negative count in area",
 ]
 

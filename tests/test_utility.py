@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdcnoise import utility
+from sdcnoise import __version__, utility
 from sdcnoise.cli import _write_csv, _write_grid
 from sdcnoise.errors import DomainError, InfeasibleError
 from sdcnoise.noise import CellKey, Laplace, TruncatedLaplace, TwoTailedGeometric, check_bound, gen_ptable, sample_noise
@@ -147,6 +147,22 @@ def test_synthetic_areas_keep_only_their_counts():
     assert kept < 3 * 2**20
 
 
+def test_library_areas_keep_the_array_they_built():
+    synthetic_areas(10, 1)  # warm-up: one-off allocations stay untraced
+    tracemalloc.start()
+    try:
+        synthetic_areas(10**5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * 2**20  # 4.77 MiB; a second copy of the 2.29 MiB counts lifted it to 7.06 MiB
+    read = read_areas_text("area_id,country,f,m,t\nA,X,1,2,3\n")
+    assert not read.counts.flags.writeable and read.counts.base is not None  # a view of the parsed array, no copy
+    counts = np.array([[1, 2, 3]], dtype=np.int64)
+    assert Areas(counts, copy=False).counts is counts and not counts.flags.writeable
+    assert Areas(np.array([[1, 2, 3]], dtype=np.int64)).counts.base is None  # a caller's array is copied
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     st.lists(
@@ -160,7 +176,7 @@ def test_synthetic_areas_keep_only_their_counts():
 )
 def test_area_csv_roundtrip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("areas") / "areas.csv"
-    _write_csv(str(path), ["areas"], ["area_id", "country", "f", "m", "t"],
+    _write_csv(str(path), "areas", {}, ["area_id", "country", "f", "m", "t"],
                [(area_id, "X", f, m, f + m) for area_id, f, m in rows])
     read = read_areas_text(path.read_text(encoding="utf-8"))
     assert np.array_equal(read.counts, np.array([(f, m, f + m) for _, f, m in rows], dtype=np.int64).reshape(-1, 3))
@@ -542,10 +558,10 @@ def test_grid_csv_deterministic(tmp_path):
     outputs = []
     for i, grid in enumerate(grids):
         path = tmp_path / f"grid{i}.csv"
-        _write_grid(str(path), ["run"], grid)
+        _write_grid(str(path), "run", {"kt2": [0.0118, 0.112]}, grid)
         outputs.append(path.read_text(encoding="utf-8"))
     assert outputs[0] == outputs[1]
-    assert outputs[0].startswith("# run\n")
+    assert outputs[0].startswith(f"# sdcnoise {__version__}\n# command: run\n# kt2: [0.0118, 0.112]\neps,")
 
 
 def test_scan_validation():
