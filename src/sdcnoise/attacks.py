@@ -6,9 +6,10 @@ and removing noise by averaging redundant representations.  Exact
 probabilities come from discrete convolution; Monte Carlo harnesses are
 seeded and reproducible.  :func:`check_alpha` is the one confidence-level check.
 
-Only the Monte Carlo harnesses and the release pipeline import numpy, so
-importing this module, the exact probabilities (:func:`p1_exact` on a list)
-and the margin scan load no numpy.
+Only the Monte Carlo harnesses and the release pipeline import numpy, and
+only the release pipeline imports ``tables`` and ``redundancy``, on a miss of
+its memos.  So importing this module, the exact probabilities
+(:func:`p1_exact` on a list) and the margin scan load neither.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .noise import CellKey, NoiseSpec, PTable, check_bound, sample_noise
-from .redundancy import IRRStats, count_k_t, enumerate_irrs, optimize_kt2
-from .tables import Microdata, StatisticKey, TableProgramme, enumerate_subtables
-from .tables import encode, table_counts
 
 if TYPE_CHECKING:
     import numpy as np
+    from .redundancy import IRRStats
+    from .tables import Microdata, StatisticKey, TableProgramme
 
 # The most uniforms a Monte Carlo harness draws at once: its memory stays
 # bounded however many tuples, trials or draws per trial it simulates.
@@ -384,6 +384,7 @@ def _release_plan(programme: TableProgramme):
     that sum to it.
     """
     if "release" not in programme.plans:
+        from .tables import enumerate_subtables
         sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
         tables, offsets, groups, stats, labels = [], [0], {}, {}, {}
         for table in programme.tables:
@@ -415,6 +416,7 @@ def _exact_statistics(programme: TableProgramme, data: Microdata):
     tables, _, shapes, sum_index, labels = _release_plan(programme)
     key = ("exact", tuple(tuple((bid, programme.breakdowns[bid].categories) for bid in ids) for ids in tables))
     if key not in data.codes:
+        from .tables import encode, table_counts
         encode(programme, data, sorted({bid for ids in tables for bid in ids}))  # every column in one pass
         flats, counts = zip(*(table_counts(programme, data, ids) for ids in tables))
         cells = np.concatenate([cube.ravel() for cube in counts])
@@ -439,6 +441,8 @@ def _attack_plan(programme: TableProgramme, spsn: bool, optimize: bool):
     """
     if (spsn, optimize) not in programme.plans:
         import numpy as np
+        from .redundancy import count_k_t, enumerate_irrs, optimize_kt2
+        from .tables import StatisticKey
         sizes = {bid: b.cardinality for bid, b in programme.breakdowns.items()}
         stats = dict.fromkeys(stat for _, stat in programme.released)
         keys = [(None, stat) for stat in stats] if spsn else list(programme.released)
@@ -477,6 +481,8 @@ def averaging_estimates(
         import numpy as np
         keys, shapes, cells, groups = _attack_plan(programme, output.spsn, optimize)
         if ids not in shapes:
+            from .redundancy import enumerate_irrs
+            from .tables import StatisticKey
             enumerate_irrs(programme, StatisticKey(ids), spsn=output.spsn)  # names the unknown id or missing table
         flat = np.concatenate([output.cubes[key].ravel() for key in keys])
         estimates = np.concatenate([flat[rows].sum(axis=-1) / t for (_, t), rows in groups])

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -12,7 +13,6 @@ import time
 from importlib import resources
 from pathlib import Path
 
-import click
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -227,6 +227,25 @@ def test_config_file_supplies_defaults(tmp_path):
     assert len(_rows(overridden.stdout)) == 11
 
 
+def test_config_file_reads_group_commands_lists_and_on_off_pairs(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scan": {"eps": {"kt2_values": [0.1, 0.2], "t_lau": 68}}, "analyze": {"spsn": "no"},
+                               "account": {"budget": {"global_eps": 0.5, "rounded": False}}}))
+    for command, flags in [(["scan", "eps"], ["--kt2", "0.1", "--kt2", "0.2", "--t-lau", "68"]),
+                           (["analyze", "desk"], ["--no-spsn"]),
+                           (["account", "budget"], ["--global-eps", "0.5", "--exact"])]:
+        assert run_cli("--config", str(cfg), *command).stdout == run_cli(*command, *flags).stdout
+    # a given repeatable flag replaces the config file's list
+    assert run_cli("--config", str(cfg), "scan", "eps", "--kt2", "0.3").stdout == run_cli(
+        "scan", "eps", "--kt2", "0.3", "--t-lau", "68").stdout
+    # a config value is read as the option's own value would be
+    cfg.write_text(json.dumps({"ptable": {"variance": 2.0, "bound": "x"}, "analyze": {"spsn": "maybe"}}))
+    for command in (["ptable"], ["analyze", "desk"]):
+        proc = run_cli("--config", str(cfg), *command, check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.splitlines()[-1].startswith("Error: ")
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -381,6 +400,18 @@ EXIT_PROBES = {
     "delta-uniform-e-negative": (["account", "delta", "--dist", "uniform", "--e", "-1", "--eps", "1"], 2),
     "bound-disclosure-uniform-e-zero": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "0"], 2),
     "bound-disclosure-uniform-e-negative": (["attack", "bound-disclosure", "--dist", "uniform", "--e", "-1"], 2),
+    # a value that looks like an option is the option's value, as click read it
+    "ptable-v-minus-inf": (["ptable", "--v", "-inf", "--e", "3"], 2),
+    "ptable-v-minus-1e308": (["ptable", "--v", "-1e308", "--e", "3"], 2),
+    "scan-m-avail-minus-1e308": (["scan", "ve", "--m-avail", "-1e308"], 2),
+    "averaging-xi-minus-inf": (["attack", "averaging", "--v", "2", "--e", "10", "--k", "60", "--t", "10",
+                                "--trials", "20", "--seed", "1", "--xi", "-inf"], 2),
+    # options are given in full: no abbreviation
+    "estimate-bin-abbreviated": (["utility", "estimate", "--eps", "0.1", "--re", "0.5", "--bin", "5"], 1),
+    "budget-global-abbreviated": (["account", "budget", "--global", "1"], 1),
+    # a group without its command is a usage error, with nothing on stdout
+    "no-command": ([], 1),
+    "attack-no-command": (["attack"], 1),
 }
 
 
@@ -405,6 +436,9 @@ def test_exit_contract(tmp_path, args, code):
         assert proc.stdout and proc.stderr == ""
     else:
         assert proc.stderr.strip()
+    if code == 1:
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1].startswith("Error: ")
     if code == 2:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ")
@@ -453,12 +487,13 @@ HOSTILE = {
 
 
 def test_exit_leaves_cover_the_command_tree():
-    def leaves(command, words):
-        if isinstance(command, click.Group):
-            return [leaf for name, sub in command.commands.items() for leaf in leaves(sub, [*words, name])]
+    def leaves(parser, words):
+        groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if groups:
+            return [leaf for name, sub in groups[0].choices.items() for leaf in leaves(sub, [*words, name])]
         return [" ".join(words)]
 
-    assert sorted(leaves(cli.cli, [])) == sorted(EXIT_LEAVES)
+    assert sorted(leaves(cli._build_parser(), [])) == sorted(EXIT_LEAVES)
 
 
 @pytest.fixture(scope="module")
@@ -509,10 +544,12 @@ REJECTED = {
     "--t": ["0", "-1"], "--trials": ["0", "-1"], "--seed": ["-1"], "--streams": ["-1"],
 }
 REJECTIONS_AT_THE_CAP = sorted(
-    (leaf, flag, value)
-    for leaf, args in AT_THE_BOUND_CAP.items()
-    for flag in args if flag in REJECTED
-    for value in REJECTED[flag]
+    [(leaf, flag, value)
+     for leaf, args in AT_THE_BOUND_CAP.items()
+     for flag in args if flag in REJECTED
+     for value in REJECTED[flag]]
+    # an --out in a missing directory, added to the valid invocation
+    + [(leaf, "--out", "{tmp}/missing/x.csv") for leaf in AT_THE_BOUND_CAP]
 )
 # the in-process wall time of a rejection; a solve at E = 10**6 takes 1.2 s or more on a 2-core Xeon VM
 REJECTION_BUDGET_S = 0.5
@@ -522,10 +559,14 @@ REJECTION_BUDGET_S = 0.5
 @given(st.sampled_from(REJECTIONS_AT_THE_CAP))
 @example(("attack averaging", "--xi", "-1"))
 @example(("account delta", "--eps", "-1"))
-def test_law_commands_reject_a_bad_option_before_the_table(rejection):
+def test_law_commands_reject_a_bad_option_before_the_table(hostile_files, rejection):
     leaf, flag, value = rejection
     args = list(AT_THE_BOUND_CAP[leaf])
-    args[args.index(flag) + 1] = value
+    value = value.format(tmp=hostile_files)
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += [flag, value]
     start = time.perf_counter()
     code, out, err = run_in_process(*args)
     elapsed = time.perf_counter() - start
@@ -850,8 +891,8 @@ else:
         code = exc.code
 print(json.dumps([code, sorted(sys.modules)]))
 """
-# The modules attacks imports at its top, which margin_exploit_scan and p1_exact do not need.
-ATTACKS = {"attacks", "noise", "redundancy", "tables"}
+# The modules attacks imports at its top: tables and redundancy load only in the release pipeline.
+ATTACKS = {"attacks", "noise"}
 # case: (child arguments, exit code, the sdcnoise modules it may load, whether it may load numpy)
 IMPORT_GRAPH = {
     "import cli": (["--import", "sdcnoise.cli"], 0, {"cli", "errors"}, False),
@@ -887,15 +928,23 @@ IMPORT_GRAPH = {
 
 @pytest.mark.parametrize("args, code, allowed, numpy", IMPORT_GRAPH.values(), ids=IMPORT_GRAPH.keys())
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, args, code, allowed, numpy):
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GRAPH_CHILD, *(a.format(tmp=tmp_path) for a in args)],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-    )
-    assert "Traceback" not in proc.stderr, proc.stderr
-    exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    """No case loads click, and importing the CLI adds only standard-library and sdcnoise modules."""
+    def child(args):
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_GRAPH_CHILD, *(a.format(tmp=tmp_path) for a in args)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert "Traceback" not in proc.stderr, proc.stderr
+        return proc, *json.loads(proc.stdout.splitlines()[-1])
+
+    proc, exit_code, modules = child(args)
     assert exit_code == code, proc.stderr
     assert {m.split(".")[1] for m in modules if m.startswith("sdcnoise.")} <= allowed
     if not numpy:
         assert "numpy" not in modules
+    assert "click" not in modules
+    if args == ["--import", "sdcnoise.cli"]:
+        added = set(modules) - set(child(["--import"])[2])  # beyond what the interpreter's start-up loads
+        assert {m.split(".")[0] for m in added} <= sys.stdlib_module_names | {"sdcnoise"}

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdcnoise import attacks as attacks_module
-from sdcnoise import noise
+from sdcnoise import noise, redundancy
 from sdcnoise.errors import ProgrammeError
 from sdcnoise.noise import (
     CellKey,
@@ -503,7 +503,7 @@ def test_second_release_and_attack_rebuild_no_seed_free_fact(monkeypatch, spec, 
         return wrapper
 
     monkeypatch.setattr(np, "bincount", counting("bincount", np.bincount))
-    monkeypatch.setattr(attacks_module, "enumerate_irrs", counting("enumerate_irrs", attacks_module.enumerate_irrs))
+    monkeypatch.setattr(redundancy, "enumerate_irrs", counting("enumerate_irrs", redundancy.enumerate_irrs))
     monkeypatch.setattr(TableProgramme, "cells", counting("cells", TableProgramme.cells))
     monkeypatch.setattr(
         attacks_module, "averaging_estimates", counting("averaging_estimates", attacks_module.averaging_estimates)

@@ -1,14 +1,15 @@
+import contextlib
+import io
 import itertools
 import math
 import random
 import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdcnoise.cli import cli
+from sdcnoise.cli import main
 from sdcnoise.errors import DomainError, ProgrammeError
 from sdcnoise.redundancy import (
     IRR,
@@ -298,9 +299,11 @@ def test_rank_statistics_by_ratio():
 
 def test_ranking_csv_layout():
     # the CLI writes the ranking; the bundled sex-age demo is SEX_AGE
-    result = CliRunner().invoke(cli, ["analyze", "sex-age", "--spsn"])
-    assert result.exit_code == 0, result.output
-    lines = [l for l in result.stdout.strip().splitlines() if not l.startswith("#")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        main(["analyze", "sex-age", "--spsn"])
+    assert exit_.value.code == 0
+    lines = [l for l in out.getvalue().strip().splitlines() if not l.startswith("#")]
     assert lines[0] == "statistic,spsn,t,k,ratio,opt_t,opt_k,opt_ratio"
     total_row = next(l for l in lines if l.startswith("total,"))
     assert total_row.split(",")[:5] == ["total", "1", "4", "9", "0.5625"]
