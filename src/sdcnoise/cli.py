@@ -3,8 +3,8 @@
 Every command is a thin wrapper over the library: values printed equal
 direct library-call results.  Outputs are CSV or JSON only; CSV files carry
 a comment header with the tool version, the command, the resolved parameters
-and the seed, written by :func:`_write_csv` alone, so that every
-disclosure-control decision leaves an audit trail.
+and the seed, so that every disclosure-control decision leaves an audit trail.
+Each command returns its result and :func:`_write` alone renders and writes it.
 
 Exit codes: 0 success, 1 usage error (``Error: <message>`` as the last stderr
 line), 2 domain error (one ``error:`` line: infeasible parameters, bad
@@ -34,7 +34,7 @@ from . import __version__
 from .errors import DomainError
 
 if TYPE_CHECKING:
-    from . import noise, tables, utility
+    from . import noise, tables
 
 _DEMOS = {
     "sex-age": "demo_sex_age.json",
@@ -94,7 +94,7 @@ def _check_rows(rows: float, what: str) -> None:
 
 
 def _check_out(out: str | None) -> None:
-    """The domain error :func:`_emit` gives for an ``--out`` it cannot open, raised before the command's work."""
+    """The domain error :func:`_write` gives for an ``--out`` it cannot open, raised before the command's work."""
     if not out:
         return
     parent = os.path.dirname(out) or "."
@@ -108,36 +108,31 @@ def _check_out(out: str | None) -> None:
         raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    """The one output sink: the file ``out`` if given, else stdout."""
+def _format_value(v) -> str:
+    return "" if v is None else str(int(v) if isinstance(v, bool) else v)
+
+
+def _write(out: str | None, command: str, result) -> None:
+    """The one writer of a command's result, to ``out`` or stdout: a dict as JSON, an attack report as its JSON,
+    a table ``(params, columns, rows[, seed])`` as ``#`` lines of version, command, parameters and seed, then CSV."""
+    if isinstance(result, dict):
+        text = json.dumps(result, indent=2)
+    elif isinstance(result, tuple):
+        params, columns, rows, *seed = result
+        header = [f"sdcnoise {__version__}", f"command: {command}", *(f"{k}: {v}" for k, v in params.items()),
+                  *(f"seed: {s}" for s in seed)]
+        lines = [f"# {line}" for line in header] + [",".join(columns)]
+        text = "\n".join(lines + [",".join(_format_value(v) for v in row) for row in rows])
+    else:
+        text = result.to_json()
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     except OSError as exc:
         raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
-
-
-def _format_value(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_csv(out: str | None, command: str, params: dict, columns, rows, seed: int | None = None) -> None:
-    """The one CSV writer: ``#`` lines of the version, command, each resolved parameter and any seed, then the table."""
-    header = [f"sdcnoise {__version__}", f"command: {command}", *(f"{k}: {v}" for k, v in params.items())]
-    if seed is not None:
-        header.append(f"seed: {seed}")
-    lines = [f"# {line}" for line in header] + [",".join(columns)]
-    lines += [",".join(_format_value(v) for v in row) for row in rows]
-    _emit("\n".join(lines) + "\n", out)
 
 
 def _at_least(low: int):
@@ -227,12 +222,12 @@ def _law_pmf(law: str, eps: float | None, variance: float | None, bound: int) ->
 
 @_command("ptable", _opt("--v", float, dest="variance", required=True, help="Noise variance V."),
           _opt("--e", int, dest="bound", required=True, help="Noise bound E."))
-def cmd_ptable(variance, bound, out):
+def cmd_ptable(variance, bound):
     """Generate a maximum-entropy lookup table and write it as CSV."""
     from . import noise
     ptable = noise.gen_ptable(variance, bound)
-    _write_csv(
-        out, "ptable", {"V": variance, "E": bound},
+    return (
+        {"V": variance, "E": bound},
         ["j", "p_j", "cumulative"],
         zip(range(-bound, bound + 1), ptable.probabilities.tolist(), ptable.cumulative.tolist()),
     )
@@ -242,7 +237,7 @@ def cmd_ptable(variance, bound, out):
           _opt("--geo-override", default=(), multiple=True,
                help="Cardinality override per geographic breakdown, e.g. GEO.M=429."),
           _opt("--order", default="ratio", choices=("ratio", "t")))
-def cmd_analyze(programme, spsn, geo_override, order, out):
+def cmd_analyze(programme, spsn, geo_override, order):
     """Rank every statistic of a programme by averaging risk (k/t^2) or by t.
 
     PROGRAMME is a JSON file path or one of the bundled demos:
@@ -260,8 +255,8 @@ def cmd_analyze(programme, spsn, geo_override, order, out):
     stats = redundancy.rank_statistics(
         prog, spsn=spsn, geo_cardinalities=overrides or None, order=order
     )
-    _write_csv(
-        out, "analyze", {"programme": programme, "spsn": spsn, "order": order, "geo_override": dict(overrides)},
+    return (
+        {"programme": programme, "spsn": spsn, "order": order, "geo_override": dict(overrides)},
         ["statistic", "spsn", "t", "k", "ratio", "opt_t", "opt_k", "opt_ratio"],
         (
             [s.target.label(), spsn, s.raw.t, s.raw.k, s.raw.ratio,
@@ -276,7 +271,7 @@ def cmd_analyze(programme, spsn, geo_override, order, out):
           _opt("--alpha", float, 0.68),
           _opt("--streams", _at_least(0), 0, help="Monte Carlo streams (0 = analytic only)."),
           _opt("--seed", _at_least(0)))
-def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
+def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed):
     """Probability and 3-tuple complexity of disclosing the noise bound."""
     if seed is not None and streams == 0:
         raise UsageError("--seed is not read without --streams: the analytic figure samples nothing")
@@ -290,20 +285,18 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed, out):
         if not streams * m * 3 <= _MAX_DRAWS:  # m = inf when p1 = 0
             raise DomainError(f"p1 = {p1!r}, m = {m:.4g}: {streams} streams draw more than {_MAX_DRAWS} noise values")
         seed = _resolve_seed(seed)
-        report = attacks.bound_disclosure_mc(noise.PTable(bound=bound, probabilities=pmf), int(m), streams, seed)
-    else:
-        report = attacks.AttackReport(
-            attack="BoundDisclosure",
-            probability=p1,
-            m_required=None if m == float("inf") else int(m),
-        )
-    _emit(report.to_json() + "\n", out)
+        return attacks.bound_disclosure_mc(noise.PTable(bound=bound, probabilities=pmf), int(m), streams, seed)
+    return attacks.AttackReport(
+        attack="BoundDisclosure",
+        probability=p1,
+        m_required=None if m == float("inf") else int(m),
+    )
 
 
 @_command("attack margin", _opt("--e", int, dest="bound", required=True),
           _opt("--input", _existing, dest="input_path",
                help="CSV of constraint tuples (internal counts..., total); bundled demo by default."))
-def cmd_margin(bound, input_path, out):
+def cmd_margin(bound, input_path):
     """Scan constraint tuples for the all-extreme noise pattern."""
     from . import attacks
     rows = []
@@ -316,20 +309,19 @@ def cmd_margin(bound, input_path, out):
             if len(rows[-1]) < 2:
                 raise DomainError(f"tuple file line {number}: needs at least one internal count and a total")
     found = attacks.margin_exploit_scan(rows, bound)
-    report = attacks.AttackReport(
+    return attacks.AttackReport(
         attack="MarginExploit",
         disclosed=[{"index": i, "recovered": list(r)} for i, r in found],
         mc_trials=len(rows),
         mc_successes=len(found),
     )
-    _emit(report.to_json() + "\n", out)
 
 
 @_command("attack averaging", _opt("--v", float, dest="variance", required=True),
           _opt("--e", int, dest="bound", required=True), _opt("--k", int, required=True),
           _opt("--t", int, required=True), _opt("--trials", int, 1000), _opt("--seed", _at_least(0)),
           _opt("--xi", float, 0.5))
-def cmd_averaging(variance, bound, k, t, trials, seed, xi, out):
+def cmd_averaging(variance, bound, k, t, trials, seed, xi):
     """Monte Carlo averaging attack on synthetic redundancy (k, t)."""
     if trials > 0 and k * trials > _MAX_DRAWS:  # a negative k or trials is check_averaging's domain error
         raise UsageError(f"--k {k} by --trials {trials} draws more than {_MAX_DRAWS} noise values")
@@ -338,14 +330,13 @@ def cmd_averaging(variance, bound, k, t, trials, seed, xi, out):
     attacks.check_xi(xi)
     seed = _resolve_seed(seed)
     ptable = noise.gen_ptable(variance, bound)
-    report = attacks.averaging_mc(ptable, k, t, trials, seed, xi)
-    _emit(report.to_json() + "\n", out)
+    return attacks.averaging_mc(ptable, k, t, trials, seed, xi)
 
 
 @_command("utility estimate", _opt("--areas", _existing), _opt("--eps", float, required=True),
           _opt("--re", float, dest="re_threshold", required=True), _opt("--bin-width", _at_least(1), 20),
           _opt("--max-count", _at_least(1), 500))
-def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
+def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count):
     """Expected relative-error exceedances per count bin."""
     _check_rows(-(-max_count // bin_width), f"a histogram up to {max_count} in bins of {bin_width}")
     from . import utility
@@ -353,8 +344,8 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
     edges = list(range(0, max_count + bin_width, bin_width))
     hist = utility.observations_histogram(records, edges)
     estimates = utility.binned_distortion_estimate(hist, eps, re_threshold)
-    _write_csv(
-        out, "utility estimate", {"eps": eps, "re": re_threshold, "bin_width": bin_width, "areas": areas or "bundled"},
+    return (
+        {"eps": eps, "re": re_threshold, "bin_width": bin_width, "areas": areas or "bundled"},
         ["bin_left", "bin_right", "observations", "expected_exceed"],
         zip(hist.bin_edges, hist.bin_edges[1:], hist.bin_counts, estimates),
     )
@@ -364,7 +355,7 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count, out):
           _opt("--mech", default="laplace", choices=("laplace", "geometric", "ck")), _opt("--eps", float),
           _opt("--v", float, dest="variance"), _opt("--e", int, dest="bound"),
           _opt("--re", float, dest="re_thresholds", required=True, multiple=True), _opt("--seed", _at_least(0)))
-def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, out):
+def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed):
     """Sample noise on area counts and tally distortions per threshold."""
     _check_law_options(mech, eps, variance, bound)
     from . import utility
@@ -373,8 +364,8 @@ def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed, o
     spec = _spec_for(mech, eps, variance, bound)
     seed = _resolve_seed(seed)
     tallies = utility.sample_distortions(records, spec, seed, thresholds)
-    _write_csv(
-        out, "utility sample", {"mech": mech, "eps": eps, "V": variance, "E": bound, "areas": areas or "bundled"},
+    return (
+        {"mech": mech, "eps": eps, "V": variance, "E": bound, "areas": areas or "bundled"},
         ["re_threshold", "single", "broadband", "zero_hits"],
         ((t.re_threshold, t.single, t.broadband, t.zero_hits) for t in tallies),
         seed,
@@ -393,14 +384,10 @@ def _grid_range(lo: float, hi: float, step: float) -> list[float]:
     return [float(f"{v:.12g}") for v in values]
 
 
-def _write_grid(out: str | None, command: str, params: dict, grid: utility.ConstraintGrid) -> None:
-    _write_csv(out, command, params, grid.columns, ([cell.get(c) for c in grid.columns] for cell in grid.cells))
-
-
 @_command("scan ve", _opt("--v-min", float, 0.5), _opt("--v-max", float, 6.0), _opt("--v-step", float, 0.5),
           _opt("--e-min", int, 1), _opt("--e-max", int, 12), _opt("--m-avail", float, required=True),
           _opt("--kt2", float), _opt("--alpha", float, 0.68))
-def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
+def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha):
     """Scan the bounded-noise (V, E) plane."""
     v_values = _grid_range(v_min, v_max, v_step)
     if e_max < e_min:
@@ -408,24 +395,24 @@ def cmd_scan_ve(v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out):
     _check_rows(len(v_values) * (e_max - e_min + 1), f"a {len(v_values)} by {e_max - e_min + 1} (V, E) grid")
     from . import utility
     grid = utility.scan_ve(v_values, list(range(e_min, e_max + 1)), m_avail, kt2=kt2, alpha=alpha)
-    _write_grid(out, "scan ve", {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}, grid)
+    return {"m_avail": m_avail, "kt2": kt2, "alpha": alpha}, grid.columns, grid.rows()
 
 
 @_command("scan eps", _opt("--eps-min", float, 0.05), _opt("--eps-max", float, 1.0), _opt("--eps-step", float, 0.01),
           _opt("--kt2", float, dest="kt2_values", required=True, multiple=True), _opt("--e-alpha", float, 20.0),
           _opt("--t-lau", float, required=True), _opt("--alpha", float, 0.68))
-def cmd_scan_eps(eps_min, eps_max, eps_step, kt2_values, e_alpha, t_lau, alpha, out):
+def cmd_scan_eps(eps_min, eps_max, eps_step, kt2_values, e_alpha, t_lau, alpha):
     """Scan the per-count privacy budget range."""
     eps_values = _grid_range(eps_min, eps_max, eps_step)
     from . import utility
     grid = utility.scan_eps(eps_values, list(kt2_values), e_alpha, t_lau, alpha=alpha)
-    _write_grid(out, "scan eps", {"kt2": list(kt2_values), "e_alpha": e_alpha, "t_lau": t_lau, "alpha": alpha}, grid)
+    return {"kt2": list(kt2_values), "e_alpha": e_alpha, "t_lau": t_lau, "alpha": alpha}, grid.columns, grid.rows()
 
 
 @_command("account delta", _opt("--dist", choices=("uniform", "geometric", "ptable"), required=True),
           _opt("--e", int, dest="bound", required=True), _opt("--v", float, dest="variance"),
           _opt("--eps", float, required=True))
-def cmd_delta(dist, bound, variance, eps, out):
+def cmd_delta(dist, bound, variance, eps):
     """Tightest delta of a finite noise pmf at a given epsilon.
 
     The delta covers one count moving by one under one pmf. It does not cover
@@ -439,14 +426,14 @@ def cmd_delta(dist, bound, variance, eps, out):
     accounting.check_delta_epsilon(eps)
     pmf = _law_pmf(dist, law_eps, variance, bound)
     delta = accounting.tightest_delta(dict(zip(range(-bound, bound + 1), pmf)), eps)
-    _emit(json.dumps({"epsilon": eps, "delta": delta}, indent=2) + "\n", out)
+    return {"epsilon": eps, "delta": delta}
 
 
 @_command("account sensitivity", _opt("PROGRAMME", required=True),
           _opt("--query", dest="queries", required=True, multiple=True,
                help="Statistic per flag: '*'-joined breakdown ids, or 'total'."),
           _opt("--spsn/--no-spsn", bool, False))
-def cmd_sensitivity(programme, queries, spsn, out):
+def cmd_sensitivity(programme, queries, spsn):
     """Global L1 sensitivity of a set of requested tabulations."""
     from . import accounting, tables
     prog = _load_programme_arg(programme)
@@ -455,12 +442,12 @@ def cmd_sensitivity(programme, queries, spsn, out):
         ids = frozenset() if q == "total" else frozenset(q.split("*"))
         keys.append(tables.StatisticKey(ids))
     delta = accounting.sensitivity(prog, keys, spsn=spsn)
-    _emit(json.dumps({"delta": delta, "spsn": spsn}, indent=2) + "\n", out)
+    return {"delta": delta, "spsn": spsn}
 
 
 @_command("account budget", _opt("--global-eps", float, required=True), _opt("--rounded/--exact", bool, True),
           _opt("--halving", int, help="Call index i of the halving schedule."))
-def cmd_budget(global_eps, rounded, halving, out):
+def cmd_budget(global_eps, rounded, halving):
     """Per-table budget presets and the iterative halving schedule."""
     from . import accounting, noise
     payload: dict = {"global_eps": global_eps}
@@ -476,7 +463,7 @@ def cmd_budget(global_eps, rounded, halving, out):
         payload["halving_i"] = halving
         payload["halving_eps"] = eps_i
         payload["halving_noise_scale"] = noise.laplace_variance(eps_i) ** 0.5
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    return payload
 
 
 class _Parser(argparse.ArgumentParser):
@@ -542,8 +529,13 @@ def _config_words(path: str | None, command: str, options: list) -> list[str]:
         raise UsageError(f"Invalid value for '--config': {path} must map command names to objects")
     for word in command.split():
         config = config.get(word, {})
+    known = [dest for _, dest, *_ in options]
+    unknown = [key for key in config if key not in known] if isinstance(config, dict) else [config]
+    if unknown:
+        raise UsageError(f"Invalid value for '--config': {path} gives {command!r} {unknown[0]!r}: "
+                         f"it takes an object of the keys {', '.join(known)}")
     words = []
-    for flag, dest, kind, *_, multiple, _ in options if isinstance(config, dict) else ():
+    for flag, dest, kind, *_, multiple, _ in options:
         value = config.get(dest)
         if value is not None and kind is bool:
             on = _FLAG_WORDS.get(str(value).strip().lower())
@@ -573,8 +565,9 @@ def main(argv=None) -> None:
             if value is None and required:
                 raise UsageError(f"Missing {'option' if flag.startswith('--') else 'argument'} {flag!r}.")
             values[dest] = default if value is None else value
-        _check_out(values["out"])
-        run(**values)
+        out = values.pop("out")
+        _check_out(out)
+        _write(out, name, run(**values))
     except UsageError as exc:
         print(f"Error: {exc}", file=sys.stderr)
         sys.exit(1)

@@ -272,6 +272,10 @@ class ConstraintGrid:
     columns: tuple[str, ...]
     cells: list[dict] = field(default_factory=list)
 
+    def rows(self) -> Iterator[list]:
+        """Each cell's values in column order, ``None`` where the cell recorded none, one row at a time."""
+        return ([cell.get(c) for c in self.columns] for cell in self.cells)
+
 
 def scan_ve(
     v_values: Sequence[float],

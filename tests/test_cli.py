@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -244,6 +245,27 @@ def test_config_file_reads_group_commands_lists_and_on_off_pairs(tmp_path):
         proc = run_cli("--config", str(cfg), *command, check=False)
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.splitlines()[-1].startswith("Error: ")
+
+
+_SCAN_VE_KEYS = "v_min, v_max, v_step, e_min, e_max, m_avail, kt2, alpha, out"
+
+
+@pytest.mark.parametrize("config, command, shown, keys", [
+    ({"scan": {"ve": {"m_avail": 2.8e7, "kt2": 0.1, "vmax": 2.0}}}, ["scan", "ve"], "'vmax'", _SCAN_VE_KEYS),
+    ({"account": {"budget": {"global_eps": 1.0, "halvng": 3}}}, ["account", "budget"], "'halvng'",
+     "global_eps, rounded, halving, out"),
+    ({"scan": {"ve": 5}}, ["scan", "ve", "--m-avail", "2.8e7"], "5", _SCAN_VE_KEYS),
+], ids=["misspelt-option", "misspelt-optional-option", "not-an-object"])
+def test_config_file_refuses_what_its_command_does_not_read(tmp_path, config, command, shown, keys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_in_process("--config", str(cfg), *command)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (f"Error: Invalid value for '--config': {cfg} gives {' '.join(command[:2])!r} "
+                                    f"{shown}: it takes an object of the keys {keys}")
+    # the objects of other commands are not read, so they may hold anything
+    cfg.write_text(json.dumps({"scan": {"eps": {"vmax": 2.0}, "ve": {"m_avail": 2.8e7}}}))
+    assert run_in_process("--config", str(cfg), "scan", "ve") == run_in_process("scan", "ve", "--m-avail", "2.8e7")
 
 
 @pytest.mark.parametrize(
@@ -860,6 +882,22 @@ def test_stdout_is_byte_identical_to_recorded_digest(tmp_path, args, digest):
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", STDOUT_PINS, ids=[" ".join(a) for a, _ in STDOUT_PINS])
+def test_out_file_is_byte_identical_to_recorded_stdout(tmp_path, args, digest):
+    (tmp_path / "cfg.json").write_text(json.dumps({"ptable": {"variance": 2.0, "bound": 5}}))
+    code, out, err = run_in_process(*(a.format(tmp=tmp_path) for a in args), "--out", str(tmp_path / "x"))
+    assert (code, out) == (0, ""), err
+    assert hashlib.sha256((tmp_path / "x").read_bytes()).hexdigest() == digest
+
+
+def test_one_writer_renders_and_writes_every_command_output():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    for call in ("json.dumps(", "sys.stdout.write("):
+        assert source.count(call) == 1 and call in inspect.getsource(cli._write), call
+    # so a command returns its result and never chooses where it goes
+    assert [name for name, (fn, _) in cli._COMMANDS.items() if "out" in inspect.signature(fn).parameters] == []
 
 
 def _readme_commands():

@@ -108,6 +108,7 @@ RULE_MESSAGES = [
     "xi must be positive",
     "epsilon must be nonnegative and finite",
     "negative count in area",
+    "it takes an object of the keys",
 ]
 
 

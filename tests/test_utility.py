@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sdcnoise import __version__, utility
-from sdcnoise.cli import _write_csv, _write_grid
+from sdcnoise.cli import _write
 from sdcnoise.errors import DomainError, InfeasibleError
 from sdcnoise.noise import CellKey, Laplace, TruncatedLaplace, TwoTailedGeometric, check_bound, gen_ptable, sample_noise
 from sdcnoise.utility import (
@@ -176,8 +176,8 @@ def test_library_areas_keep_the_array_they_built():
 )
 def test_area_csv_roundtrip(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("areas") / "areas.csv"
-    _write_csv(str(path), "areas", {}, ["area_id", "country", "f", "m", "t"],
-               [(area_id, "X", f, m, f + m) for area_id, f, m in rows])
+    _write(str(path), "areas", ({}, ["area_id", "country", "f", "m", "t"],
+                                [(area_id, "X", f, m, f + m) for area_id, f, m in rows]))
     read = read_areas_text(path.read_text(encoding="utf-8"))
     assert np.array_equal(read.counts, np.array([(f, m, f + m) for _, f, m in rows], dtype=np.int64).reshape(-1, 3))
     assert read.area_ids == tuple(area_id for area_id, _, _ in rows)
@@ -558,7 +558,7 @@ def test_grid_csv_deterministic(tmp_path):
     outputs = []
     for i, grid in enumerate(grids):
         path = tmp_path / f"grid{i}.csv"
-        _write_grid(str(path), "run", {"kt2": [0.0118, 0.112]}, grid)
+        _write(str(path), "run", ({"kt2": [0.0118, 0.112]}, grid.columns, grid.rows()))
         outputs.append(path.read_text(encoding="utf-8"))
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(f"# sdcnoise {__version__}\n# command: run\n# kt2: [0.0118, 0.112]\neps,")
