@@ -47,14 +47,11 @@ class UsageError(Exception):
     """A malformed command line or config file: exit 1."""
 
 
-def _data_text(name: str) -> str:
-    return resources.files("sdcnoise.data").joinpath(name).read_text(encoding="utf-8")
-
-
-def _read_input(path: str | None, bundled: str) -> str:
-    """Text of the file ``path``, or of the bundled data file ``bundled`` without one."""
-    if not path:
-        return _data_text(bundled)
+def _read_input(path: str | None, bundled: str | None = None) -> str:
+    """The one reader of the files the CLI reads: the text of ``path``, or of the bundled data file ``bundled``
+    when the option is absent (None).  A path it cannot open or decode, "" included, is a domain error."""
+    if path is None:
+        return resources.files("sdcnoise.data").joinpath(bundled).read_text(encoding="utf-8")
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
@@ -63,10 +60,10 @@ def _read_input(path: str | None, bundled: str) -> str:
 
 
 def _load_programme_arg(value: str) -> tables.TableProgramme:
+    """The programme of a bundled demo name or of any other word, read as a path."""
     from . import tables
-    if value in _DEMOS:
-        return tables.parse_programme(_data_text(_DEMOS[value]))
-    return tables.load_programme(value)
+    demo = _DEMOS.get(value)
+    return tables.parse_programme(_read_input(None if demo else value, demo))
 
 
 def _resolve_seed(seed: int | None) -> int:
@@ -93,19 +90,25 @@ def _check_rows(rows: float, what: str) -> None:
         raise UsageError(f"{what} has more than {_MAX_ROWS} rows")
 
 
+def _unwritable(out: str, exc: OSError) -> DomainError:
+    """The one error of an ``--out`` that cannot be written, from :func:`_check_out` or :func:`_write`."""
+    return DomainError(f"cannot write {out}: {exc.strerror or exc}")
+
+
 def _check_out(out: str | None) -> None:
     """The domain error :func:`_write` gives for an ``--out`` it cannot open, raised before the command's work."""
-    if not out:
+    if out is None:
         return
     parent = os.path.dirname(out) or "."
     try:
         os.stat(parent)  # a missing directory, or a file on the way to it
-        code = (errno.ENOTDIR if not os.path.isdir(parent) else errno.EISDIR if os.path.isdir(out)
+        code = (errno.ENOENT if not out else errno.ENOTDIR if not os.path.isdir(parent)
+                else errno.EISDIR if os.path.isdir(out)
                 else 0 if os.access(out if os.path.exists(out) else parent, os.W_OK) else errno.EACCES)
         if code:
             raise OSError(code, os.strerror(code))
     except OSError as exc:
-        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        raise _unwritable(out, exc) from exc
 
 
 def _format_value(v) -> str:
@@ -114,25 +117,24 @@ def _format_value(v) -> str:
 
 def _write(out: str | None, command: str, result) -> None:
     """The one writer of a command's result, to ``out`` or stdout: a dict as JSON, an attack report as its JSON,
-    a table ``(params, columns, rows[, seed])`` as ``#`` lines of version, command, parameters and seed, then CSV."""
+    a table ``(params, columns, rows)`` as ``#`` lines of version, command and parameters, then CSV."""
     if isinstance(result, dict):
         text = json.dumps(result, indent=2)
     elif isinstance(result, tuple):
-        params, columns, rows, *seed = result
-        header = [f"sdcnoise {__version__}", f"command: {command}", *(f"{k}: {v}" for k, v in params.items()),
-                  *(f"seed: {s}" for s in seed)]
+        params, columns, rows = result
+        header = [f"sdcnoise {__version__}", f"command: {command}", *(f"{k}: {v}" for k, v in params.items())]
         lines = [f"# {line}" for line in header] + [",".join(columns)]
         text = "\n".join(lines + [",".join(_format_value(v) for v in row) for row in rows])
     else:
         text = result.to_json()
-    if not out:
+    if out is None:
         sys.stdout.write(text + "\n")
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise DomainError(f"cannot write {out}: {exc.strerror or exc}") from exc
+        raise _unwritable(out, exc) from exc
 
 
 def _at_least(low: int):
@@ -143,12 +145,6 @@ def _at_least(low: int):
         return int(text)
     convert.__name__ = "int"  # argparse names the type of a word int() rejects
     return convert
-
-
-def _existing(path: str) -> str:
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"Path {path!r} does not exist.")
-    return path
 
 
 # Each command's function and options: (flag, keyword, type, default, choices, required, repeatable, help).
@@ -294,7 +290,7 @@ def cmd_bound_disclosure(dist, bound, variance, alpha, streams, seed):
 
 
 @_command("attack margin", _opt("--e", int, dest="bound", required=True),
-          _opt("--input", _existing, dest="input_path",
+          _opt("--input", dest="input_path",
                help="CSV of constraint tuples (internal counts..., total); bundled demo by default."))
 def cmd_margin(bound, input_path):
     """Scan constraint tuples for the all-extreme noise pattern."""
@@ -333,7 +329,7 @@ def cmd_averaging(variance, bound, k, t, trials, seed, xi):
     return attacks.averaging_mc(ptable, k, t, trials, seed, xi)
 
 
-@_command("utility estimate", _opt("--areas", _existing), _opt("--eps", float, required=True),
+@_command("utility estimate", _opt("--areas"), _opt("--eps", float, required=True),
           _opt("--re", float, dest="re_threshold", required=True), _opt("--bin-width", _at_least(1), 20),
           _opt("--max-count", _at_least(1), 500))
 def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count):
@@ -351,7 +347,7 @@ def cmd_utility_estimate(areas, eps, re_threshold, bin_width, max_count):
     )
 
 
-@_command("utility sample", _opt("--areas", _existing),
+@_command("utility sample", _opt("--areas"),
           _opt("--mech", default="laplace", choices=("laplace", "geometric", "ck")), _opt("--eps", float),
           _opt("--v", float, dest="variance"), _opt("--e", int, dest="bound"),
           _opt("--re", float, dest="re_thresholds", required=True, multiple=True), _opt("--seed", _at_least(0)))
@@ -365,10 +361,9 @@ def cmd_utility_sample(areas, mech, eps, variance, bound, re_thresholds, seed):
     seed = _resolve_seed(seed)
     tallies = utility.sample_distortions(records, spec, seed, thresholds)
     return (
-        {"mech": mech, "eps": eps, "V": variance, "E": bound, "areas": areas or "bundled"},
+        {"mech": mech, "eps": eps, "V": variance, "E": bound, "areas": areas or "bundled", "seed": seed},
         ["re_threshold", "single", "broadband", "zero_hits"],
         ((t.re_threshold, t.single, t.broadband, t.zero_hits) for t in tallies),
-        seed,
     )
 
 
@@ -483,7 +478,7 @@ def _build_parser(words: list[str] = ()) -> _Parser:
     root = _Parser(prog="sdcnoise", description="Disclosure-control noise analysis for static count outputs.",
                    add_help=False, allow_abbrev=False)
     root.add_argument("--version", action="version", version=f"sdcnoise, version {__version__}")
-    root.add_argument("--config", type=_existing, help="JSON config file; keys mirror the command options, flags win.")
+    root.add_argument("--config", help="JSON config file; keys mirror the command options, flags win.")
     root.add_argument("--help", action="help", help="Show this message and exit.")
     subparsers = {"": root.add_subparsers(metavar="COMMAND", required=True)}
     plain = [w for w in words if not w.startswith("-")]
@@ -518,16 +513,23 @@ _VALUE_FLAGS = {"--config"} | {
 
 def _config_words(path: str | None, command: str, options: list) -> list[str]:
     """The ``--config`` file's values for ``command``, one object per word of its name, as words of its flags."""
-    if not path:
+    if path is None:
         return []
     try:
-        with open(path, encoding="utf-8") as fh:
-            config = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"Invalid value for '--config': cannot read {path}: {exc}") from exc
+        config = json.loads(_read_input(path))
+    except DomainError as exc:
+        raise UsageError(f"Invalid value for '--config': {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(f"Invalid value for '--config': {path} is not JSON: {exc}") from exc
     if not (isinstance(config, dict) and all(isinstance(v, dict) for v in config.values())):
         raise UsageError(f"Invalid value for '--config': {path} must map command names to objects")
-    for word in command.split():
+    parts = command.split()
+    for depth, word in enumerate(parts):  # each key of the top object, then of the group's, names a command
+        names = list(dict.fromkeys(n.split()[depth] for n in _COMMANDS if n.split()[:depth] == parts[:depth]))
+        unknown = [key for key in config if key not in names]
+        if unknown:
+            raise UsageError(f"Invalid value for '--config': {path} gives {' '.join([*parts[:depth], unknown[0]])!r}: "
+                             f"no command has that name ({' '.join(parts[:depth]) or 'sdcnoise'} has {', '.join(names)})")
         config = config.get(word, {})
     known = [dest for _, dest, *_ in options]
     unknown = [key for key in config if key not in known] if isinstance(config, dict) else [config]

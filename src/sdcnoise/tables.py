@@ -190,15 +190,6 @@ def parse_programme(document: str | Mapping) -> TableProgramme:
     return TableProgramme(breakdowns, tables)
 
 
-def load_programme(path) -> TableProgramme:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ProgrammeError(f"cannot read programme file: {exc}") from exc
-    return parse_programme(text)
-
-
 def enumerate_subtables(table: TableSpec) -> list[StatisticKey]:
     """All 2^m marginal keys of a table, from the total margin up to the table itself."""
     ids = sorted(table.breakdowns)

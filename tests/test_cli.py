@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sdcnoise
-from sdcnoise import __version__, attacks, cli, noise, utility
+from sdcnoise import __version__, attacks, cli, noise, tables, utility
 from sdcnoise.attacks import averaging_success, p1_exact, tuples_needed
 from sdcnoise.noise import TruncatedLaplace, gen_ptable, laplace_variance
 from sdcnoise.utility import read_areas_text, sample_distortions
@@ -266,6 +266,71 @@ def test_config_file_refuses_what_its_command_does_not_read(tmp_path, config, co
     # the objects of other commands are not read, so they may hold anything
     cfg.write_text(json.dumps({"scan": {"eps": {"vmax": 2.0}, "ve": {"m_avail": 2.8e7}}}))
     assert run_in_process("--config", str(cfg), "scan", "ve") == run_in_process("scan", "ve", "--m-avail", "2.8e7")
+
+
+@pytest.mark.parametrize("config, command, shown, names", [
+    ({"ptabel": {"variance": 2.0, "bound": 5}}, ["ptable", "--v", "3", "--e", "5"], "ptabel",
+     "sdcnoise has ptable, analyze, attack, utility, scan, account"),
+    ({"scan": {"vee": {"m_avail": 1}}}, ["scan", "ve", "--m-avail", "2.8e7"], "scan vee", "scan has ve, eps"),
+], ids=["misspelt-command", "misspelt-group-command"])
+def test_config_file_refuses_a_key_that_names_no_command(tmp_path, config, command, shown, names):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run_in_process("--config", str(cfg), *command)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (f"Error: Invalid value for '--config': {cfg} gives {shown!r}: "
+                                    f"no command has that name ({names})")
+    # the group objects of other commands are not read
+    cfg.write_text(json.dumps({"attack": {"averagin": {}}, "scan": {"ve": {"m_avail": 2.8e7}}}))
+    assert run_in_process("--config", str(cfg), "scan", "ve") == run_in_process("scan", "ve", "--m-avail", "2.8e7")
+
+
+# Each command that reads a file, with its other options, and the option naming the file
+# (PROGRAMME: the positional argument).
+FILE_INPUTS = {
+    "analyze": (["analyze"], "PROGRAMME"),
+    "account sensitivity": (["account", "sensitivity", "--query", "SEX"], "PROGRAMME"),
+    "utility estimate": (["utility", "estimate", "--eps", "0.1", "--re", "0.5"], "--areas"),
+    "utility sample": (["utility", "sample", "--mech", "ck", "--v", "2", "--e", "5", "--re", "0.5", "--seed", "1"],
+                       "--areas"),
+    "attack margin": (["attack", "margin", "--e", "2"], "--input"),
+}
+UNREADABLE = {"missing": "{tmp}/missing.csv", "empty-name": "", "directory": "{tmp}", "undecodable": "{tmp}/binary"}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+@pytest.mark.parametrize("command", FILE_INPUTS)
+def test_every_input_file_is_read_by_one_reader(tmp_path, monkeypatch, command, case):
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x00{")
+    fail_to_solve_or_draw(monkeypatch)
+    words, flag = FILE_INPUTS[command]
+    path = UNREADABLE[case].format(tmp=tmp_path)
+    code, out, err = run_in_process(*words, *([path] if flag == "PROGRAMME" else [flag, path]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: ") and len(err.splitlines()) == 1, err
+
+
+@pytest.mark.parametrize("case", ["missing", "empty-name", "directory", "malformed"])
+def test_config_file_read_failure_is_a_usage_error(tmp_path, case):
+    (tmp_path / "malformed").write_text("{bad")
+    path = {**UNREADABLE, "malformed": "{tmp}/malformed"}[case].format(tmp=tmp_path)
+    code, out, err = run_in_process("--config", path, "ptable", "--v", "2", "--e", "5")
+    assert (code, out) == (1, "")
+    shown = f"{path} is not JSON: " if case == "malformed" else f"cannot read {path}: "
+    assert err.splitlines()[-1].startswith(f"Error: Invalid value for '--config': {shown}")
+
+
+def test_empty_out_is_refused_before_the_work(monkeypatch):
+    fail_to_solve_or_draw(monkeypatch)
+    assert run_in_process("ptable", "--v", "2", "--e", "2", "--out", "") == (
+        2, "", "error: cannot write : No such file or directory\n")
+
+
+def test_one_reader_opens_every_file_the_cli_reads():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    owners = "".join(inspect.getsource(fn) for fn in (cli._read_input, cli._write))
+    assert source.count("open(") == owners.count("open(") == 2
+    assert not hasattr(tables, "load_programme")
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ from sdcnoise.errors import DomainError, ProgrammeError
 
 _BREAKDOWN = tables.Breakdown("SEX", ("F", "M"))
 _TABLE = tables.TableSpec("T1", ("SEX",))
-_MISSING = "/nonexistent/programme.json"
 
 # id: (call, exception class, message)
 RAISE_SITES = {
@@ -47,8 +46,6 @@ RAISE_SITES = {
         lambda: tables.parse_programme({"breakdowns": [], "tables": [{"id": "T1", "breakdowns": "SEX"}]}),
         ProgrammeError, "'breakdowns' must be a list of ids (at tables[0])",
     ),
-    "load-unreadable": (lambda: tables.load_programme(_MISSING), ProgrammeError,
-                        f"cannot read programme file: [Errno 2] No such file or directory: {_MISSING!r}"),
     "column-index-unknown": (lambda: tables.Microdata(("SEX",), (("F",),)).column_index("AGE"), ProgrammeError,
                              "microdata has no column 'AGE'"),
     "neighbor-unknown-op": (lambda: tables.neighbor(tables.Microdata(("SEX",), ()), "swap", ("F",)), ProgrammeError,
@@ -109,6 +106,8 @@ RULE_MESSAGES = [
     "epsilon must be nonnegative and finite",
     "negative count in area",
     "it takes an object of the keys",
+    "cannot write",
+    "cannot read {path}",
 ]
 
 
